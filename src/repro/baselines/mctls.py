@@ -24,17 +24,8 @@ from enum import Enum
 
 from repro.crypto.gcm import AESGCM
 from repro.crypto.kdf import prf
-from repro.errors import (
-    IntegrityError,
-    PolicyError,
-    ProtocolError,
-    ReproError,
-    SessionAborted,
-)
-from repro.io.framing import FRAME_ALERT, FRAME_CLOSE, alert_frame, close_frame, frame, pop_frames
-from repro.io.record_plane import RecordPlane
-from repro.tls.events import AlertReceived, ApplicationData, ConnectionClosed
-from repro.wire.alerts import Alert, AlertDescription
+from repro.errors import IntegrityError, PolicyError, ProtocolError
+from repro.io.framing import FramedConnection, FramedDuplex, frame
 
 __all__ = [
     "ContextPermission",
@@ -197,26 +188,18 @@ class McTLSParty:
         return self.contexts[context_id].keys.read_key is not None
 
 
-def _alert_for(exc: Exception) -> AlertDescription:
-    """Map a record-processing failure onto the alert it should raise."""
-    if isinstance(exc, IntegrityError):
-        return AlertDescription.BAD_RECORD_MAC
-    if isinstance(exc, PolicyError):
-        return AlertDescription.ACCESS_DENIED
-    if isinstance(exc, ProtocolError):
-        return AlertDescription.from_name(exc.alert)
-    return AlertDescription.DECODE_ERROR
-
-
-class McTLSRecordConnection:
+class McTLSRecordConnection(FramedConnection):
     """Sans-IO stream endpoint speaking length-framed mcTLS records.
 
     mcTLS proper has no record framing of its own in this reproduction (the
     mechanism under study is the per-context access control), so this adapter
-    supplies a minimal stream layer — a u32 length prefix per sealed record,
-    with a zero-length frame as the close marker — and implements the shared
-    :class:`repro.io.Connection` contract.
+    supplies a minimal stream layer — :class:`repro.io.framing.FramedConnection`,
+    a u32 length prefix per sealed record with a zero-length frame as the
+    close marker — and implements the shared :class:`repro.io.Connection`
+    contract.
     """
+
+    origin_label = "mctls-endpoint"
 
     def __init__(
         self,
@@ -224,20 +207,10 @@ class McTLSRecordConnection:
         default_context: int,
         verify_endpoint_mac: bool = False,
     ) -> None:
+        super().__init__()
         self.party = party
         self.default_context = default_context
         self.verify_endpoint_mac = verify_endpoint_mac
-        self._out = RecordPlane()  # coalesced outbox only; no TLS parsing
-        self._buffer = bytearray()
-        self.closed = False
-        self._started = False
-        self.origin_label = "mctls-endpoint"
-        self.abort: SessionAborted | None = None
-
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("mcTLS connection already started")
-        self._started = True
 
     def send_application_data(self, data: bytes, context_id: int | None = None) -> None:
         if self.closed:
@@ -245,198 +218,33 @@ class McTLSRecordConnection:
         context = self.default_context if context_id is None else context_id
         self._out.queue_raw(frame(self.party.seal(context, data)))
 
-    def receive_bytes(self, data: bytes) -> list:
-        if self.closed:
-            return []
-        self._buffer += data
-        events: list = []
-        try:
-            frames = pop_frames(self._buffer)
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for kind, payload in frames:
-            if kind == FRAME_CLOSE:
-                self.closed = True
-                events.append(ConnectionClosed())
-                break
-            if kind == FRAME_ALERT:
-                if self._handle_alert(payload, events):
-                    break
-                continue
-            try:
-                context_id = payload[0]
-                plaintext = self.party.open(
-                    context_id, payload, verify_endpoint_mac=self.verify_endpoint_mac
-                )
-            except (ReproError, KeyError, IndexError, ValueError) as exc:
-                # Forged, truncated, or unknown-context record: answer with
-                # a fatal alert and close (the abort invariant).
-                self._abort(exc, events)
-                break
-            events.append(ApplicationData(data=plaintext))
-        return events
-
-    def _handle_alert(self, payload: bytes, events: list) -> bool:
-        try:
-            alert = Alert.decode(payload)
-        except ReproError as exc:
-            self._abort(exc, events)
-            return True
-        events.append(AlertReceived(alert=alert))
-        if alert.is_fatal or alert.is_close:
-            self.closed = True
-            if alert.is_close:
-                events.append(ConnectionClosed())
-            else:
-                name = alert.description.name.lower()
-                self.abort = SessionAborted(
-                    f"peer sent fatal {name}", origin=alert.origin, alert=name
-                )
-                events.append(
-                    ConnectionClosed(error=name, alert=name, origin=alert.origin)
-                )
-            return True
-        return False
-
-    def _abort(self, exc: Exception, events: list) -> None:
-        description = _alert_for(exc)
-        name = description.name.lower()
-        self._out.queue_raw(
-            alert_frame(Alert.fatal(description, origin=self.origin_label).encode())
-        )
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
+    def _open(self, payload: bytes) -> bytes:
+        # A forged, truncated or unknown-context record raises; the framed
+        # loop answers with a fatal alert and closes.
+        return self.party.open(
+            payload[0], payload, verify_endpoint_mac=self.verify_endpoint_mac
         )
 
-    def data_to_send(self) -> bytes:
-        return self._out.data_to_send()
 
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self._out.queue_raw(close_frame())
-
-    def peer_closed(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="transport closed")]
-
-
-class McTLSMiddleboxConnection:
+class McTLSMiddleboxConnection(FramedDuplex):
     """Sans-IO duplex mcTLS middlebox: inspects readable contexts in transit.
 
     Frames are forwarded verbatim — a read-only party cannot re-seal with
     the endpoint MAC, and forwarding unmodified bytes is exactly what keeps
-    the endpoint MAC valid end to end.
+    the endpoint MAC valid end to end. A record this hop can read but not
+    verify aborts the session toward both segments.
     """
 
+    origin_label = "mctls-middlebox"
+
     def __init__(self, party: McTLSParty) -> None:
+        super().__init__()
         self.party = party
-        self._planes = [RecordPlane(), RecordPlane()]  # outboxes only
-        self._buffers = [bytearray(), bytearray()]
         self.records_seen = 0
         self.plaintext_seen: list[bytes] = []
-        self.closed = False
-        self._started = False
-        self.origin_label = "mctls-middlebox"
-        self.abort: SessionAborted | None = None
 
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("mcTLS middlebox already started")
-        self._started = True
-
-    def receive_down(self, data: bytes) -> list:
-        return self._receive(0, data)
-
-    def receive_up(self, data: bytes) -> list:
-        return self._receive(1, data)
-
-    def _receive(self, side: int, data: bytes) -> list:
-        if self.closed:
-            return []
-        buffer = self._buffers[side]
-        outbound = self._planes[1 - side]
-        buffer += data
-        events: list = []
-        try:
-            frames = pop_frames(buffer)
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for kind, payload in frames:
-            if kind == FRAME_CLOSE:
-                outbound.queue_raw(close_frame())
-                continue
-            if kind == FRAME_ALERT:
-                # Hop-by-hop propagation: forward the alert verbatim and,
-                # if it is fatal, tear down our own forwarding state too.
-                outbound.queue_raw(alert_frame(payload))
-                try:
-                    alert = Alert.decode(payload)
-                except ReproError:
-                    continue
-                if alert.is_fatal and not alert.is_close:
-                    name = alert.description.name.lower()
-                    self.closed = True
-                    self.abort = SessionAborted(
-                        f"fatal {name} passed through",
-                        origin=alert.origin,
-                        alert=name,
-                    )
-                    events.append(
-                        ConnectionClosed(error=name, alert=name, origin=alert.origin)
-                    )
-                    break
-                continue
-            self.records_seen += 1
-            try:
-                context_id = payload[0]
-                if self.party.can_read(context_id):
-                    self.plaintext_seen.append(self.party.open(context_id, payload))
-            except (ReproError, KeyError, IndexError, ValueError) as exc:
-                # A record this hop could verify failed verification:
-                # originate a fatal alert toward both segments.
-                self._abort(exc, events)
-                break
-            outbound.queue_raw(frame(payload))
-        return events
-
-    def _abort(self, exc: Exception, events: list) -> None:
-        description = _alert_for(exc)
-        name = description.name.lower()
-        encoded = Alert.fatal(description, origin=self.origin_label).encode()
-        for plane in self._planes:
-            plane.queue_raw(alert_frame(encoded))
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
-        )
-
-    def data_to_send_down(self) -> bytes:
-        return self._planes[0].data_to_send()
-
-    def data_to_send_up(self) -> bytes:
-        return self._planes[1].data_to_send()
-
-    def peer_closed_down(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="client segment closed")]
-
-    def peer_closed_up(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="server segment closed")]
+    def _inspect(self, side: int, payload: bytes) -> None:
+        self.records_seen += 1
+        context_id = payload[0]
+        if self.party.can_read(context_id):
+            self.plaintext_seen.append(self.party.open(context_id, payload))

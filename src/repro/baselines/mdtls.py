@@ -31,17 +31,12 @@ online enrollment protocol.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 from repro.crypto.kdf import prf
 from repro.crypto.x25519 import x25519, x25519_base
-from repro.errors import (
-    CryptoError,
-    IntegrityError,
-    PolicyError,
-    ProtocolError,
-    ReproError,
-    SessionAborted,
-)
+from repro.errors import CryptoError, ProtocolError, SessionAborted
+from repro.io import abort
 from repro.io.record_plane import RecordPlane
 from repro.pki.authority import Credential
 from repro.pki.store import TrustStore
@@ -54,8 +49,8 @@ from repro.tls.events import (
 )
 from repro.tls.keyschedule import derive_master_secret, finished_verify_data
 from repro.tls.record_layer import ConnectionState
-from repro.wire.alerts import Alert, AlertDescription
-from repro.wire.extensions import Extension, ExtensionType
+from repro.wire.alerts import Alert
+from repro.wire.extensions import ExtensionType
 from repro.wire.handshake import (
     Certificate,
     ClientHello,
@@ -128,20 +123,9 @@ def hop_states(
     )
 
 
-def _alert_for(exc: Exception) -> AlertDescription:
-    """Map a processing failure onto the alert it should raise."""
-    if isinstance(exc, IntegrityError):
-        return AlertDescription.BAD_RECORD_MAC
-    if isinstance(exc, PolicyError):
-        return AlertDescription.ACCESS_DENIED
-    if isinstance(exc, ProtocolError):
-        return AlertDescription.from_name(exc.alert)
-    return AlertDescription.DECODE_ERROR
-
-
-def _plaintext_alert(alert: Alert) -> Record:
+def _send_alert(plane: RecordPlane, alert: Alert) -> None:
     """Alerts always travel unprotected on the mdTLS alert plane."""
-    return Record(content_type=ContentType.ALERT, payload=alert.encode())
+    plane.queue_encoded(Record(content_type=ContentType.ALERT, payload=alert.encode()))
 
 
 class MdTLSDeployment:
@@ -264,7 +248,7 @@ class _MdTLSEndpoint:
         if self.closed:
             return
         self.closed = True
-        self._plane.queue_encoded(_plaintext_alert(Alert.close_notify()))
+        _send_alert(self._plane, Alert.close_notify())
 
     def peer_closed(self) -> list:
         if self.closed:
@@ -285,57 +269,21 @@ class _MdTLSEndpoint:
         self._plane.queue_record(ContentType.HANDSHAKE, framed.encode())
         return framed
 
-    def _abort(self, exc: Exception, events: list) -> None:
-        description = _alert_for(exc)
-        name = description.name.lower()
-        self._plane.queue_encoded(
-            _plaintext_alert(Alert.fatal(description, origin=self.origin_label))
-        )
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
-        )
-
-    def _handle_alert(self, payload: bytes, events: list) -> bool:
-        """Process an inbound alert record; True if the connection ended."""
-        alert = Alert.decode(bytes(payload))
-        events.append(AlertReceived(alert=alert))
-        if alert.is_close:
-            self.closed = True
-            events.append(ConnectionClosed())
-            return True
-        if alert.is_fatal:
-            name = alert.description.name.lower()
-            self.closed = True
-            self.abort = SessionAborted(
-                f"peer sent fatal {name}", origin=alert.origin, alert=name
-            )
-            events.append(
-                ConnectionClosed(error=name, alert=name, origin=alert.origin)
-            )
-            return True
-        return False
-
     def receive_bytes(self, data: bytes) -> list:
         if self.closed:
             return []
         events: list = []
         try:
             self._plane.feed(data)
-            records = self._plane.pop_records()
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for record in records:
-            if self.closed:
-                break
-            try:
+            for record in self._plane.pop_records():
+                if self.closed:
+                    break
                 if record.content_type == ContentType.ALERT:
-                    if self._handle_alert(record.payload, events):
-                        break
+                    alert = Alert.decode(bytes(record.payload))
+                    events.append(AlertReceived(alert=alert))
+                    ended = abort.received(self, alert)
+                    if ended is not None:
+                        events.append(ended)
                     continue
                 if record.content_type == ContentType.HANDSHAKE:
                     if self.established:
@@ -366,9 +314,8 @@ class _MdTLSEndpoint:
                     f"unexpected content type {int(record.content_type)}",
                     alert="unexpected_message",
                 )
-            except (ReproError, KeyError, IndexError, ValueError) as exc:
-                self._abort(exc, events)
-                break
+        except abort.HOSTILE_INPUT as exc:
+            events.append(abort.fail(self, exc, partial(_send_alert, self._plane)))
         return events
 
     def send_application_data(self, data: bytes) -> None:
@@ -921,20 +868,6 @@ class MdTLSMiddleboxConnection:
     def _transcript_hash(self) -> bytes:
         return hashlib.sha256(bytes(self._transcript)).digest()
 
-    def _abort(self, exc: Exception, events: list) -> None:
-        description = _alert_for(exc)
-        name = description.name.lower()
-        record = _plaintext_alert(Alert.fatal(description, origin=self.origin_label))
-        for plane in self._planes:
-            plane.queue_encoded(record)
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
-        )
-
     def _receive(self, side: int, data: bytes) -> list:
         if self.closed:
             return []
@@ -943,17 +876,11 @@ class MdTLSMiddleboxConnection:
         events: list = []
         try:
             inbound.feed(data)
-            records = inbound.pop_records()
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for record in records:
-            if self.closed:
-                break
-            try:
+            for record in inbound.pop_records():
+                if self.closed:
+                    break
                 if record.content_type == ContentType.ALERT:
-                    if self._forward_alert(record, outbound, events):
-                        break
+                    self._forward_alert(record, outbound, events)
                     continue
                 if record.content_type == ContentType.HANDSHAKE:
                     # Still legal after establishment: trailing proxy
@@ -975,30 +902,22 @@ class MdTLSMiddleboxConnection:
                     f"unexpected content type {int(record.content_type)}",
                     alert="unexpected_message",
                 )
-            except (ReproError, KeyError, IndexError, ValueError) as exc:
-                self._abort(exc, events)
-                break
+        except abort.HOSTILE_INPUT as exc:
+            events.append(
+                abort.fail(self, exc, *(partial(_send_alert, plane) for plane in self._planes))
+            )
         return events
 
-    def _forward_alert(self, record: Record, outbound: RecordPlane, events: list) -> bool:
+    def _forward_alert(self, record: Record, outbound: RecordPlane, events: list) -> None:
         payload = record.payload
         encoded = payload if isinstance(payload, bytes) else bytes(payload)
         outbound.queue_encoded(
             Record(content_type=ContentType.ALERT, payload=encoded)
         )
-        alert = Alert.decode(encoded)
-        if alert.is_fatal and not alert.is_close:
-            # Hop-by-hop propagation: tear our own forwarding state down too.
-            name = alert.description.name.lower()
-            self.closed = True
-            self.abort = SessionAborted(
-                f"fatal {name} passed through", origin=alert.origin, alert=name
-            )
-            events.append(
-                ConnectionClosed(error=name, alert=name, origin=alert.origin)
-            )
-            return True
-        return False
+        # Hop-by-hop propagation: a fatal alert tears our own state down too.
+        ended = abort.passed_through(self, Alert.decode(encoded))
+        if ended is not None:
+            events.append(ended)
 
     def _forward_handshake(
         self, side: int, record: Record, outbound: RecordPlane, events: list

@@ -16,15 +16,11 @@ model; the benchmarks demonstrate the failures concretely:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
-from repro.errors import (
-    CryptoError,
-    DecodeError,
-    IntegrityError,
-    ProtocolError,
-    SessionAborted,
-)
+from repro.errors import CryptoError, ProtocolError, SessionAborted
+from repro.io import abort
 from repro.io.record_plane import RecordPlane
 from repro.netsim.driver import CpuMeter, DuplexDriver
 from repro.netsim.network import Host, InterceptedFlow
@@ -33,7 +29,7 @@ from repro.tls.engine import TLSClientEngine
 from repro.tls.events import ConnectionClosed
 from repro.tls.keyschedule import KeyBlock
 from repro.tls.record_layer import ConnectionState
-from repro.wire.alerts import Alert, AlertDescription
+from repro.wire.alerts import Alert
 from repro.wire.records import ContentType, Record
 
 __all__ = [
@@ -160,8 +156,8 @@ class KeySharingConnection:
         try:
             inbound.feed(data)
             records = inbound.pop_records()
-        except (DecodeError, ProtocolError) as exc:
-            self._abort(exc, events)
+        except ProtocolError as exc:
+            events.append(self._abort(exc))
             return events
         for record in records:
             if (
@@ -170,38 +166,27 @@ class KeySharingConnection:
             ):
                 try:
                     record = self.middlebox.handle_record(direction, record)
-                except (IntegrityError, CryptoError, DecodeError, ProtocolError) as exc:
+                except (CryptoError, ProtocolError) as exc:
                     # A tampered record: it cannot be forwarded, and the
                     # shared sequence numbers mean neither can anything
                     # after it. Alert both sides and tear the splice down.
-                    self._abort(exc, events)
+                    events.append(self._abort(exc))
                     break
             outbound.queue_encoded(record)
         return events
 
-    def _abort(self, exc: Exception, events: list) -> None:
-        if isinstance(exc, IntegrityError):
-            description = AlertDescription.BAD_RECORD_MAC
-        elif isinstance(exc, ProtocolError):
-            description = AlertDescription.from_name(getattr(exc, "alert", "internal_error"))
+    def _abort(self, exc: Exception) -> ConnectionClosed:
+        return abort.fail(self, exc, *(partial(self._send_alert, side) for side in (_DOWN, _UP)))
+
+    def _send_alert(self, side: int, alert: Alert) -> None:
+        """Seal toward ``side`` under the shared keys once they arrived,
+        else send in the clear."""
+        payload = alert.encode()
+        sealed = self.middlebox.seal_alert("s2c" if side == _DOWN else "c2s", payload)
+        if sealed is not None:
+            self._planes[side].queue_encoded(sealed)
         else:
-            description = AlertDescription.DECODE_ERROR
-        name = description.name.lower()
-        payload = Alert.fatal(description, origin=self.origin_label).encode()
-        for plane, direction in ((self._planes[_DOWN], "s2c"), (self._planes[_UP], "c2s")):
-            try:
-                sealed = self.middlebox.seal_alert(direction, payload)
-                if sealed is not None:
-                    plane.queue_encoded(sealed)
-                else:
-                    plane.queue_record(ContentType.ALERT, payload)
-            except (CryptoError, ProtocolError):
-                pass
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(error=f"{name}: {exc}", alert=name, origin=self.origin_label)
-        )
+            self._planes[side].queue_record(ContentType.ALERT, payload)
 
     def data_to_send_down(self) -> bytes:
         return self._planes[_DOWN].data_to_send()

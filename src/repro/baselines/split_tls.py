@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import SessionAborted
+from repro.errors import ProtocolError, SessionAborted
 from repro.netsim.driver import CpuMeter, DuplexDriver
 from repro.netsim.network import Host, InterceptedFlow
 from repro.pki.authority import CertificateAuthority
@@ -28,7 +28,6 @@ from repro.pki.store import TrustStore
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
 from repro.tls.events import ApplicationData, ConnectionClosed
-from repro.wire.alerts import AlertDescription
 
 __all__ = ["SplitTLSMiddlebox", "SplitTLSService"]
 
@@ -141,8 +140,7 @@ class SplitTLSMiddlebox:
         if source.abort is not None:
             other.origin_label = source.abort.origin or other.origin_label
             other.send_fatal_alert(
-                AlertDescription.from_name(source.abort.alert),
-                str(source.abort),
+                ProtocolError(str(source.abort), alert=source.abort.alert)
             )
         else:
             other.close()

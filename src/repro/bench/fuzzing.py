@@ -92,7 +92,16 @@ _PKI_CACHE: dict[bytes, Pki] = {}
 
 def _pki(seed: bytes) -> Pki:
     if seed not in _PKI_CACHE:
-        _PKI_CACHE[seed] = Pki(rng=HmacDrbg(seed, personalization=b"fuzz-pki"))
+        pki = Pki(rng=HmacDrbg(seed, personalization=b"fuzz-pki"))
+        # A certificate carries the CA's running serial, so every credential
+        # the builders use is issued here, in the order a sweep over
+        # CASE_NAMES first asks for it. A case then replays the same
+        # certificates whichever cases its process ran before.
+        pki.credential("server")
+        pki.credential("mbox")
+        _fabricated_credential(seed, pki)
+        pki.credential("client")
+        _PKI_CACHE[seed] = pki
     return _PKI_CACHE[seed]
 
 

@@ -23,17 +23,16 @@ from repro.core.config import (
     MiddleboxRejected,
     SessionEstablished,
 )
+from repro.core.endpoint import MbTLSEndpoint
 from repro.core.keys import build_hop_chain, bridge_hop_keys, hop_states_for_endpoint
 from repro.core.mux import Subchannel
 from repro.core.resumption import RememberedMiddlebox
 from repro import obs
-from repro.errors import DecodeError, IntegrityError, ProtocolError, SessionAborted
-from repro.io.record_plane import RecordPlane
+from repro.errors import IntegrityError, ProtocolError
 from repro.tls.ciphersuites import suite_by_code
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine
 from repro.tls.events import (
-    AlertReceived,
     ApplicationData,
     ConnectionClosed,
     Event,
@@ -51,13 +50,12 @@ from repro.wire.records import ContentType, Record
 __all__ = ["MbTLSClientEngine"]
 
 
-class MbTLSClientEngine:
+class MbTLSClientEngine(MbTLSEndpoint):
     """Sans-IO mbTLS client."""
 
     is_client = True
 
     def __init__(self, config: MbTLSEndpointConfig) -> None:
-        self.config = config
         extra = list(config.tls.extra_extensions)
         extra.append(
             MiddleboxSupportExtension(
@@ -70,29 +68,7 @@ class MbTLSClientEngine:
             # (not server) attestation is demanded.
             extra.append(AttestationRequestExtension().to_extension())
         self._primary_config = replace(config.tls, extra_extensions=tuple(extra))
-        self.primary = TLSClientEngine(self._primary_config)
-        # The plane's read/write states are the client-adjacent hop keys,
-        # installed at establishment; before that everything is forwarded raw.
-        self._plane = RecordPlane()
-        self._events: list[Event] = []
-        self._secondaries: dict[int, Subchannel] = {}
-        self._arrival_order: list[int] = []
-        self.established = False
-        self._middlebox_infos: dict[int, MiddleboxInfo] = {}
-        self.closed = False
-        self.records_dropped = 0
-        # Alert-plane attribution (see DESIGN.md §9).
-        self.origin_label = "client"
-        self.primary.origin_label = self.origin_label
-        self._plane.party = self.origin_label
-        self._session_span = None
-        self.abort: SessionAborted | None = None
-        # Subchannels abandoned because their middlebox stalled or died
-        # mid-handshake (graceful degradation, not rejection-by-policy).
-        self.bypassed_subchannels: list[int] = []
-        # Every decision to proceed without a path member, as
-        # (subchannel_id, reason) — the downgrade-visibility ledger.
-        self.fallback_decisions: list[tuple[int, str]] = []
+        super().__init__(config, TLSClientEngine(self._primary_config), "client")
         # §3.5 resumption: remembered secondary sessions, by arrival order.
         self._resume_candidates: list[RememberedMiddlebox] = []
         if config.middlebox_session_store is not None and config.tls.server_name:
@@ -108,9 +84,6 @@ class MbTLSClientEngine:
             "handshake.mbtls", party=self.origin_label)
         self.primary.start()
         self._drain_primary()
-
-    def data_to_send(self) -> bytes:
-        return self._plane.data_to_send()
 
     def receive_bytes(self, data: bytes) -> list[Event]:
         if self.closed:
@@ -162,28 +135,6 @@ class MbTLSClientEngine:
             self.primary.send_application_data(data)
             self._drain_primary()
 
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        alert = Alert.close_notify()
-        if self._plane.write_state is not None:
-            self._plane.queue_record(ContentType.ALERT, alert.encode())
-        else:
-            self.primary.close()
-            self._drain_primary()
-        self._events.append(ConnectionClosed())
-
-    @property
-    def middleboxes(self) -> tuple[MiddleboxInfo, ...]:
-        """Joined middleboxes in path order from the client."""
-        ordered = list(reversed(self._arrival_order))
-        return tuple(
-            self._middlebox_infos[sub]
-            for sub in ordered
-            if sub in self._middlebox_infos and not self._secondaries[sub].rejected
-        )
-
     def bypass_pending_middleboxes(
         self, reason: str = "secondary handshake timed out"
     ) -> list[Event]:
@@ -220,96 +171,7 @@ class MbTLSClientEngine:
         self._events = []
         return events
 
-    def peer_closed(self) -> list[Event]:
-        """The TCP stream died under us (crash, reset): report cleanly."""
-        if self.closed:
-            return []
-        self.closed = True
-        self._events.append(ConnectionClosed(error="transport closed"))
-        events = self._events
-        self._events = []
-        return events
-
-    # Back-compat alias for pre-contract callers.
-    handle_transport_close = peer_closed
-
-    @property
-    def resumed(self) -> bool:
-        return self.primary.resumed
-
-    @property
-    def _data_read(self):
-        """The client-adjacent hop read state (None until established)."""
-        return self._plane.read_state
-
-    @property
-    def _data_write(self):
-        """The client-adjacent hop write state (None until established)."""
-        return self._plane.write_state
-
     # ------------------------------------------------------------ internals
-
-    def _drain_primary(self) -> None:
-        self._plane.queue_raw(self.primary.data_to_send())
-
-    def _drain_secondary(self, sub: Subchannel) -> None:
-        self._plane.queue_raw(sub.drain())
-
-    def _emit_primary_events(self, events: list[Event]) -> None:
-        for event in events:
-            if isinstance(event, (ApplicationData, AlertReceived, ConnectionClosed)):
-                self._events.append(event)
-                if isinstance(event, ConnectionClosed):
-                    self.closed = True
-                    if self.abort is None:
-                        self.abort = self.primary.abort
-            # HandshakeComplete is folded into SessionEstablished.
-
-    def _abort(self, exc: Exception) -> None:
-        """Send a fatal alert for ``exc`` and close (the abort invariant)."""
-        if self.closed:
-            return
-        if isinstance(exc, IntegrityError):
-            description = AlertDescription.BAD_RECORD_MAC
-        else:
-            description = AlertDescription.from_name(
-                getattr(exc, "alert", "internal_error")
-            )
-        name = description.name.lower()
-        alert = Alert.fatal(description, origin=self.origin_label)
-        try:
-            if self._plane.write_state is not None:
-                self._plane.queue_record(ContentType.ALERT, alert.encode())
-            else:
-                # Pre-establishment: the alert travels on the primary stream
-                # under whatever protection the primary currently has.
-                self.primary._plane.queue_record(ContentType.ALERT, alert.encode())
-                self._drain_primary()
-        except ProtocolError:
-            pass
-        self.closed = True
-        obs.counter("alerts_sent", origin=self.origin_label, alert=name).inc()
-        obs.tracer().end(self._session_span, error=name)
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        self._events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
-        )
-
-    def _process_record(self, record: Record) -> None:
-        if record.content_type == ContentType.MBTLS_ENCAPSULATED:
-            self._process_encapsulated(EncapsulatedRecord.from_record(record))
-            return
-        if self.established and self._plane.write_state is not None and record.content_type in (
-            ContentType.APPLICATION_DATA,
-            ContentType.ALERT,
-        ):
-            self._process_data_record(record)
-            return
-        events = self.primary.receive_bytes(record.encode())
-        self._drain_primary()
-        self._emit_primary_events(events)
 
     def _process_data_batch(self, records: list[Record]) -> None:
         """Decrypt a run of application data in one batched call.
@@ -331,44 +193,7 @@ class MbTLSClientEngine:
                 return
             self._events.append(ApplicationData(data=plaintext))
 
-    def _process_data_record(self, record: Record) -> None:
-        try:
-            plaintext = self._plane.unprotect(record)
-        except IntegrityError as exc:
-            if self.config.tamper_policy == "abort":
-                self._abort(exc)
-            else:
-                # Tampered, replayed, or cross-hop record: discard it (P2/P4).
-                self.records_dropped += 1
-            return
-        if record.content_type == ContentType.APPLICATION_DATA:
-            self._events.append(ApplicationData(data=plaintext))
-        else:
-            alert = Alert.decode(plaintext)
-            self._events.append(AlertReceived(alert=alert))
-            if alert.is_fatal or alert.is_close:
-                self.closed = True
-                if alert.is_close:
-                    self._events.append(ConnectionClosed())
-                else:
-                    name = alert.description.name.lower()
-                    self.abort = SessionAborted(
-                        f"peer sent fatal {name}", origin=alert.origin, alert=name
-                    )
-                    self._events.append(
-                        ConnectionClosed(error=name, alert=name, origin=alert.origin)
-                    )
-
-    def _process_encapsulated(self, encap: EncapsulatedRecord) -> None:
-        sub = self._secondaries.get(encap.subchannel_id)
-        if sub is None:
-            self._admit_middlebox(encap)
-            return
-        events = sub.feed_inner(encap.inner)
-        self._drain_secondary(sub)
-        self._handle_secondary_events(sub, events)
-
-    def _admit_middlebox(self, encap: EncapsulatedRecord) -> None:
+    def _new_subchannel(self, encap: EncapsulatedRecord) -> None:
         """A middlebox opened a new subchannel with its secondary ServerHello."""
         if self.established or self.primary.handshake_complete:
             # Too late to join; ignore the straggler.
@@ -458,13 +283,6 @@ class MbTLSClientEngine:
         self._events.append(
             MiddleboxRejected(subchannel_id=sub.subchannel_id, reason=reason)
         )
-
-    def _note_fallback(self, subchannel_id: int, reason: str) -> None:
-        """Ledger + counter: the session will proceed without this member."""
-        self.fallback_decisions.append((subchannel_id, reason))
-        obs.counter(
-            "session.fallback", party=self.origin_label, reason=reason
-        ).inc()
 
     def _send_subchannel_alert(self, subchannel_id: int) -> None:
         alert = Alert.fatal(AlertDescription.ACCESS_DENIED)

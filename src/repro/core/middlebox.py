@@ -21,6 +21,8 @@ drain ``data_to_send_down``/``data_to_send_up``.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.config import MiddleboxConfig, MiddleboxRole
 from repro import obs
 from repro.errors import (
@@ -30,6 +32,7 @@ from repro.errors import (
     ProtocolError,
     SessionAborted,
 )
+from repro.io import abort
 from repro.io.record_plane import MAX_BUFFERED_BYTES, RecordPlane
 from repro.tls.ciphersuites import suite_by_code
 from repro.tls.engine import TLSServerEngine
@@ -42,7 +45,7 @@ from repro.tls.events import (
 )
 from repro.core.keys import states_from_hop_keys
 from repro.core.mux import wrap_engine_output
-from repro.wire.alerts import Alert, AlertDescription
+from repro.wire.alerts import Alert
 from repro.wire.extensions import ExtensionType, MiddleboxSupportExtension, ServerNameExtension
 from repro.wire.handshake import ClientHello, HandshakeBuffer, HandshakeType
 from repro.wire.mbtls import EncapsulatedRecord, KeyMaterial, MiddleboxAnnouncement
@@ -51,6 +54,10 @@ from repro.wire.records import ContentType, Record, RecordBuffer
 __all__ = ["MbTLSMiddlebox"]
 
 _DOWN, _UP = 0, 1
+
+
+def _send_alert(plane: RecordPlane, alert: Alert) -> None:
+    plane.queue_record(ContentType.ALERT, alert.encode())
 
 
 class MbTLSMiddlebox:
@@ -187,8 +194,7 @@ class MbTLSMiddlebox:
         if self._secondary is not None and not self._secondary.closed:
             secondary_side = _DOWN if self.mode == self.MODE_CLIENT_SIDE else _UP
             if secondary_side == surviving:
-                self._secondary.close()
-                self._drain_secondary()
+                self._close_secondary()
         self._events.append(ConnectionClosed())
         events = self._events
         self._events = []
@@ -222,7 +228,7 @@ class MbTLSMiddlebox:
             except ProtocolError as exc:
                 # A mutated length field starved the parser until the
                 # buffer bound tripped: abort rather than buffer forever.
-                self._abort(AlertDescription.from_name(exc.alert), str(exc))
+                self._abort(exc)
                 records = []
             index = 0
             total = len(records)
@@ -253,9 +259,7 @@ class MbTLSMiddlebox:
                         except (DecodeError, IntegrityError, CryptoError):
                             pass
                         except ProtocolError as exc:
-                            self._abort(
-                                AlertDescription.from_name(exc.alert), str(exc)
-                            )
+                            self._abort(exc)
                         index = end
                         continue
                 try:
@@ -268,13 +272,18 @@ class MbTLSMiddlebox:
                     # driver over hostile bytes.
                     pass
                 except ProtocolError as exc:
-                    self._abort(AlertDescription.from_name(exc.alert), str(exc))
+                    self._abort(exc)
                 index += 1
         events = self._events
         self._events = []
         return events
 
-    def _abort(self, description: AlertDescription, message: str) -> None:
+    @property
+    def origin_label(self) -> str:
+        """Alerts this middlebox originates name it by its configured name."""
+        return self.config.name
+
+    def _abort(self, exc: Exception) -> None:
         """Originate a fatal alert toward both segments and shut down.
 
         Used for faults this hop detects itself (buffer overflow, or AEAD
@@ -283,24 +292,17 @@ class MbTLSMiddlebox:
         """
         if self.closed:
             return
-        name = description.name.lower()
-        obs.counter("alerts_sent", origin=self.config.name, alert=name).inc()
-        alert = Alert.fatal(description, origin=self.config.name)
-        for plane in self._planes:
-            try:
-                plane.queue_record(ContentType.ALERT, alert.encode())
-            except ProtocolError:
-                pass
+        event = abort.fail(
+            self, exc, *(partial(_send_alert, plane) for plane in self._planes)
+        )
+        obs.counter("alerts_sent", origin=self.config.name, alert=self.abort.alert).inc()
+        self._close_secondary()
+        self._events.append(event)
+
+    def _close_secondary(self) -> None:
         if self._secondary is not None and not self._secondary.closed:
             self._secondary.close()
             self._drain_secondary()
-        self.closed = True
-        self.abort = SessionAborted(message, origin=self.config.name, alert=name)
-        self._events.append(
-            ConnectionClosed(
-                error=f"{name}: {message}", alert=name, origin=self.config.name
-            )
-        )
 
     def _demote_to_relay(self, flush_side: int | None = None) -> None:
         self.mode = self.MODE_RELAY
@@ -701,7 +703,7 @@ class MbTLSMiddlebox:
             plaintext = self._planes[from_side].unprotect(record)
         except IntegrityError as exc:
             if self.config.tamper_policy == "abort":
-                self._abort(AlertDescription.BAD_RECORD_MAC, str(exc))
+                self._abort(exc)
             else:
                 # Tampered or out-of-path record: drop it (P2/P4).
                 self.records_dropped += 1
@@ -729,18 +731,10 @@ class MbTLSMiddlebox:
             alert = Alert.decode(plaintext)
         except DecodeError:
             return  # forwarded verbatim; the endpoints will judge it
-        if alert.is_fatal and not alert.is_close:
-            name = alert.description.name.lower()
-            if self._secondary is not None and not self._secondary.closed:
-                self._secondary.close()
-                self._drain_secondary()
-            self.closed = True
-            self.abort = SessionAborted(
-                f"fatal {name} passed through", origin=alert.origin, alert=name
-            )
-            self._events.append(
-                ConnectionClosed(error=name, alert=name, origin=alert.origin)
-            )
+        ended = abort.passed_through(self, alert)
+        if ended is not None:
+            self._close_secondary()
+            self._events.append(ended)
 
     def _run_app(self, direction: str, plaintext: bytes) -> bytes | None:
         """Invoke the middlebox application, rich or plain-callable."""

@@ -23,62 +23,36 @@ from repro.core.config import (
     MiddleboxRejected,
     SessionEstablished,
 )
+from repro.core.endpoint import MbTLSEndpoint
 from repro.core.keys import build_hop_chain, bridge_hop_keys, hop_states_for_endpoint
 from repro.core.mux import Subchannel
 from repro import obs
-from repro.errors import DecodeError, IntegrityError, ProtocolError, SessionAborted
-from repro.io.record_plane import RecordPlane
+from repro.errors import DecodeError, IntegrityError, ProtocolError
 from repro.tls.ciphersuites import suite_by_code
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
 from repro.tls.events import (
-    AlertReceived,
     AnnouncementReceived,
-    ApplicationData,
     ConnectionClosed,
     Event,
     HandshakeComplete,
     MiddleboxJoined,
 )
-from repro.wire.alerts import Alert, AlertDescription
 from repro.wire.mbtls import EncapsulatedRecord, KeyMaterial, MiddleboxAnnouncement
-from repro.wire.records import ContentType, Record
+from repro.wire.records import ContentType
 
 __all__ = ["MbTLSServerEngine"]
 
 
-class MbTLSServerEngine:
+class MbTLSServerEngine(MbTLSEndpoint):
     """Sans-IO mbTLS server."""
 
     is_client = False
 
     def __init__(self, config: MbTLSEndpointConfig) -> None:
-        self.config = config
-        self.primary = TLSServerEngine(config.tls)
-        # The plane's read/write states are the server-adjacent hop keys,
-        # installed at establishment; before that everything is forwarded raw.
-        self._plane = RecordPlane()
-        self._events: list[Event] = []
-        self._secondaries: dict[int, Subchannel] = {}
-        self._arrival_order: list[int] = []
-        self._middlebox_infos: dict[int, MiddleboxInfo] = {}
+        super().__init__(config, TLSServerEngine(config.tls), "server")
         self._announcement_window_open = True
-        self.established = False
-        self.closed = False
         self._pending_app_data: list[bytes] = []
-        self.records_dropped = 0
-        # Alert-plane attribution (see DESIGN.md §9).
-        self.origin_label = "server"
-        self.primary.origin_label = self.origin_label
-        self._plane.party = self.origin_label
-        self._session_span = None
-        self.abort: SessionAborted | None = None
-        # Subchannels abandoned because their middlebox stalled or died
-        # mid-handshake (graceful degradation, not rejection-by-policy).
-        self.bypassed_subchannels: list[int] = []
-        # Every decision to proceed without a path member, as
-        # (subchannel_id, reason) — the downgrade-visibility ledger.
-        self.fallback_decisions: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------ API
 
@@ -86,9 +60,6 @@ class MbTLSServerEngine:
         self._session_span = obs.tracer().begin(
             "handshake.mbtls", party=self.origin_label)
         self.primary.start()
-
-    def data_to_send(self) -> bytes:
-        return self._plane.data_to_send()
 
     def receive_bytes(self, data: bytes) -> list[Event]:
         if self.closed:
@@ -106,36 +77,6 @@ class MbTLSServerEngine:
         self._events = []
         return events
 
-    def _abort(self, exc: Exception) -> None:
-        """Send a fatal alert for ``exc`` and close (the abort invariant)."""
-        if self.closed:
-            return
-        if isinstance(exc, IntegrityError):
-            description = AlertDescription.BAD_RECORD_MAC
-        else:
-            description = AlertDescription.from_name(
-                getattr(exc, "alert", "internal_error")
-            )
-        name = description.name.lower()
-        alert = Alert.fatal(description, origin=self.origin_label)
-        try:
-            if self._plane.write_state is not None:
-                self._plane.queue_record(ContentType.ALERT, alert.encode())
-            else:
-                self.primary._plane.queue_record(ContentType.ALERT, alert.encode())
-                self._drain_primary()
-        except ProtocolError:
-            pass
-        self.closed = True
-        obs.counter("alerts_sent", origin=self.origin_label, alert=name).inc()
-        obs.tracer().end(self._session_span, error=name)
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        self._events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
-        )
-
     def send_application_data(self, data: bytes) -> None:
         if self.closed:
             raise ProtocolError("cannot send application data on a closed connection")
@@ -151,46 +92,6 @@ class MbTLSServerEngine:
         else:
             self.primary.send_application_data(data)
             self._drain_primary()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        alert = Alert.close_notify()
-        if self._plane.write_state is not None:
-            self._plane.queue_record(ContentType.ALERT, alert.encode())
-        else:
-            self.primary.close()
-            self._drain_primary()
-        self._events.append(ConnectionClosed())
-
-    @property
-    def middleboxes(self) -> tuple[MiddleboxInfo, ...]:
-        """Joined middleboxes in path order from the client.
-
-        Each middlebox emits its own announcement before relaying those of
-        middleboxes upstream (closer to the client), so announcements reach
-        the server nearest-server-first; path order is the reverse.
-        """
-        return tuple(
-            self._middlebox_infos[sub]
-            for sub in reversed(self._arrival_order)
-            if sub in self._middlebox_infos and not self._secondaries[sub].rejected
-        )
-
-    @property
-    def resumed(self) -> bool:
-        return self.primary.resumed
-
-    @property
-    def _data_read(self):
-        """The server-adjacent hop read state (None until established)."""
-        return self._plane.read_state
-
-    @property
-    def _data_write(self):
-        """The server-adjacent hop write state (None until established)."""
-        return self._plane.write_state
 
     def bypass_pending_middleboxes(
         self, reason: str = "secondary handshake timed out"
@@ -221,85 +122,10 @@ class MbTLSServerEngine:
         self._events = []
         return events
 
-    def peer_closed(self) -> list[Event]:
-        """The TCP stream died under us (crash, reset): report cleanly."""
-        if self.closed:
-            return []
-        self.closed = True
-        self._events.append(ConnectionClosed(error="transport closed"))
-        events = self._events
-        self._events = []
-        return events
-
-    # Back-compat alias for pre-contract callers.
-    handle_transport_close = peer_closed
-
     # ------------------------------------------------------------ internals
 
-    def _drain_primary(self) -> None:
-        self._plane.queue_raw(self.primary.data_to_send())
-
-    def _drain_secondary(self, sub: Subchannel) -> None:
-        self._plane.queue_raw(sub.drain())
-
-    def _process_record(self, record: Record) -> None:
-        if record.content_type == ContentType.MBTLS_ENCAPSULATED:
-            self._process_encapsulated(EncapsulatedRecord.from_record(record))
-            return
-        if self.established and self._plane.write_state is not None and record.content_type in (
-            ContentType.APPLICATION_DATA,
-            ContentType.ALERT,
-        ):
-            self._process_data_record(record)
-            return
-        events = self.primary.receive_bytes(record.encode())
-        self._drain_primary()
-        for event in events:
-            if isinstance(event, (ApplicationData, AlertReceived, ConnectionClosed)):
-                self._events.append(event)
-                if isinstance(event, ConnectionClosed):
-                    self.closed = True
-                    if self.abort is None:
-                        self.abort = self.primary.abort
-
-    def _process_data_record(self, record: Record) -> None:
-        try:
-            plaintext = self._plane.unprotect(record)
-        except IntegrityError as exc:
-            if self.config.tamper_policy == "abort":
-                self._abort(exc)
-            else:
-                # Tampered, replayed, or cross-hop record: discard it (P2/P4).
-                self.records_dropped += 1
-            return
-        if record.content_type == ContentType.APPLICATION_DATA:
-            self._events.append(ApplicationData(data=plaintext))
-        else:
-            alert = Alert.decode(plaintext)
-            self._events.append(AlertReceived(alert=alert))
-            if alert.is_fatal or alert.is_close:
-                self.closed = True
-                if alert.is_close:
-                    self._events.append(ConnectionClosed())
-                else:
-                    name = alert.description.name.lower()
-                    self.abort = SessionAborted(
-                        f"peer sent fatal {name}", origin=alert.origin, alert=name
-                    )
-                    self._events.append(
-                        ConnectionClosed(error=name, alert=name, origin=alert.origin)
-                    )
-
-    def _process_encapsulated(self, encap: EncapsulatedRecord) -> None:
-        sub = self._secondaries.get(encap.subchannel_id)
-        if sub is None:
-            self._handle_announcement(encap)
-            return
-        events = sub.feed_inner(encap.inner)
-        self._drain_secondary(sub)
-        self._handle_secondary_events(sub, events)
-
-    def _handle_announcement(self, encap: EncapsulatedRecord) -> None:
+    def _new_subchannel(self, encap: EncapsulatedRecord) -> None:
+        """A server-side middlebox announced itself on a new subchannel."""
         try:
             MiddleboxAnnouncement.from_record(encap.inner)
         except DecodeError:
@@ -370,13 +196,6 @@ class MbTLSServerEngine:
                         reason=event.error or "secondary handshake failed",
                     )
                 )
-
-    def _note_fallback(self, subchannel_id: int, reason: str) -> None:
-        """Ledger + counter: the session will proceed without this member."""
-        self.fallback_decisions.append((subchannel_id, reason))
-        obs.counter(
-            "session.fallback", party=self.origin_label, reason=reason
-        ).inc()
 
     def _check_established(self) -> None:
         if self.established or not self.primary.handshake_complete:

@@ -19,6 +19,7 @@ from enum import Enum, auto
 from repro import obs
 from repro.crypto.dh import DHGroup, DHPrivateKey, modp_group
 from repro.crypto.x25519 import X25519PrivateKey
+from repro.io import abort
 from repro.io.record_plane import RecordPlane
 from repro.errors import (
     AttestationError,
@@ -49,7 +50,7 @@ from repro.tls.keyschedule import (
 )
 from repro.tls.record_layer import ConnectionState
 from repro.tls.session import SessionState
-from repro.wire.alerts import Alert, AlertDescription
+from repro.wire.alerts import Alert
 from repro.wire.extensions import (
     AttestationRequestExtension,
     Extension,
@@ -169,6 +170,11 @@ class TLSEngine:
     def closed(self) -> bool:
         return self._state == _State.CLOSED
 
+    @closed.setter
+    def closed(self, value: bool) -> None:
+        if value:
+            self._state = _State.CLOSED
+
     def start(self) -> None:
         """Kick off the handshake (client sends its hello; server waits)."""
         raise NotImplementedError
@@ -185,17 +191,10 @@ class TLSEngine:
             self._plane.feed(data)
             self._process_records(self._plane.pop_records())
         except IntegrityError:
-            self._fatal(AlertDescription.BAD_RECORD_MAC, "record authentication failed")
-        except DecodeError as exc:
-            self._fatal(AlertDescription.DECODE_ERROR, str(exc))
-        except CertificateError as exc:
-            self._fatal(AlertDescription.from_name(exc.alert), str(exc))
-        except AttestationError as exc:
-            self._fatal(AlertDescription.BAD_CERTIFICATE, str(exc))
-        except HandshakeError as exc:
-            self._fatal(AlertDescription.from_name(exc.alert), str(exc))
+            # The AEAD's own reason stays private to the engine.
+            self._fatal(IntegrityError("record authentication failed"))
         except ProtocolError as exc:
-            self._fatal(AlertDescription.from_name(exc.alert), str(exc))
+            self._fatal(exc)
         events = self._events
         self._events = []
         return events
@@ -221,21 +220,17 @@ class TLSEngine:
     def close(self) -> None:
         """Send close_notify and shut the connection down."""
         if self._state not in (_State.CLOSED,):
-            alert = Alert.close_notify()
-            self._send_record(ContentType.ALERT, alert.encode())
-            self.alert_sent = alert
+            self._send_alert(Alert.close_notify())
             self._state = _State.CLOSED
             self._emit(ConnectionClosed())
 
-    def send_fatal_alert(
-        self, description: AlertDescription, message: str
-    ) -> list[Event]:
-        """Originate a fatal alert and close.
+    def send_fatal_alert(self, exc: Exception) -> list[Event]:
+        """Originate the fatal alert for ``exc`` and close.
 
         Splicing middleboxes (split TLS) use this to propagate a teardown
         from one segment's session onto the other's.
         """
-        self._fatal(description, message)
+        self._fatal(exc)
         events = self._events
         self._events = []
         return events
@@ -273,25 +268,17 @@ class TLSEngine:
     def _emit(self, event: Event) -> None:
         self._events.append(event)
 
-    def _fatal(self, description: AlertDescription, message: str) -> None:
+    def _fatal(self, exc: Exception) -> None:
         if self._state == _State.CLOSED:
             return
-        alert = Alert.fatal(description, origin=self.origin_label)
-        try:
-            self._send_record(ContentType.ALERT, alert.encode())
-        except ProtocolError:
-            pass
-        self.alert_sent = alert
-        self._state = _State.CLOSED
-        name = description.name.lower()
+        self._emit(abort.fail(self, exc, self._send_alert))
+        name = self.abort.alert
         obs.counter("alerts_sent", origin=self._obs_party(), alert=name).inc()
         obs.tracer().end(self._hs_span, error=name)
-        self.abort = SessionAborted(message, origin=self.origin_label, alert=name)
-        self._emit(
-            ConnectionClosed(
-                error=f"{name}: {message}", alert=name, origin=self.origin_label
-            )
-        )
+
+    def _send_alert(self, alert: Alert) -> None:
+        self.alert_sent = alert
+        self._send_record(ContentType.ALERT, alert.encode())
 
     def _send_record(self, content_type: ContentType, payload: bytes) -> None:
         self._plane.queue_record(content_type, payload)
@@ -376,18 +363,9 @@ class TLSEngine:
                 alert=alert.description.name.lower(),
             ).inc()
             self._emit(AlertReceived(alert=alert))
-            if alert.is_fatal or alert.is_close:
-                self._state = _State.CLOSED
-                if alert.is_close:
-                    self._emit(ConnectionClosed())
-                else:
-                    name = alert.description.name.lower()
-                    self.abort = SessionAborted(
-                        f"peer sent fatal {name}", origin=alert.origin, alert=name
-                    )
-                    self._emit(
-                        ConnectionClosed(error=name, alert=name, origin=alert.origin)
-                    )
+            ended = abort.received(self, alert)
+            if ended is not None:
+                self._emit(ended)
             return
 
         if record.content_type == ContentType.APPLICATION_DATA:

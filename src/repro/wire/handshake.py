@@ -19,6 +19,7 @@ __all__ = [
     "HandshakeType",
     "Handshake",
     "HandshakeBuffer",
+    "MAX_HANDSHAKE_MESSAGE",
     "ClientHello",
     "ServerHello",
     "Certificate",
@@ -74,11 +75,19 @@ class Handshake:
         )
 
 
+#: The largest handshake message a peer may declare. The largest any
+#: scenario here sends (an mdTLS hello carrying a warrant per middlebox) is
+#: a few KiB; the 24-bit length field allows 16 MiB.
+MAX_HANDSHAKE_MESSAGE = 1 << 16
+
+
 class HandshakeBuffer:
     """Reassembles handshake messages from record payloads.
 
     Handshake messages may be coalesced into one record or fragmented
-    across several; this buffer handles both.
+    across several; this buffer handles both. The type and declared length
+    are checked as soon as a message's 4-byte header is buffered, so a
+    forged header fails at once instead of starving the parser.
     """
 
     def __init__(self) -> None:
@@ -90,15 +99,19 @@ class HandshakeBuffer:
     def pop_messages(self) -> list[Handshake]:
         messages = []
         while len(self._buffer) >= 4:
-            length = int.from_bytes(self._buffer[1:4], "big")
-            total = 4 + length
-            if len(self._buffer) < total:
-                break
             raw_type = self._buffer[0]
             try:
                 msg_type = HandshakeType(raw_type)
             except ValueError as exc:
                 raise DecodeError(f"unknown handshake type {raw_type}") from exc
+            length = int.from_bytes(self._buffer[1:4], "big")
+            if length > MAX_HANDSHAKE_MESSAGE:
+                raise DecodeError(
+                    f"handshake message of {length} bytes exceeds {MAX_HANDSHAKE_MESSAGE}"
+                )
+            total = 4 + length
+            if len(self._buffer) < total:
+                break
             body = bytes(self._buffer[4:total])
             del self._buffer[:total]
             messages.append(Handshake(msg_type=msg_type, body=body))

@@ -11,6 +11,9 @@ in ``repro/io/connection.py``:
 * receiving bytes after close yields no events;
 * ``close()`` and ``peer_closed*()`` are idempotent;
 * sending application data on a closed connection raises ``ProtocolError``;
+* hostile bytes end in one abort (``repro.io.abort``): one attributed
+  ``ConnectionClosed``, one fatal alert on every side the party writes to,
+  and silence afterwards — except for the parties that relay by design;
 * the same DRBG seed yields byte-identical wire transcripts (golden hashes
   captured before the record-plane refactor).
 """
@@ -45,10 +48,15 @@ from repro.core.config import MbTLSEndpointConfig, MiddleboxConfig, MiddleboxRol
 from repro.core.middlebox import MbTLSMiddlebox
 from repro.core.server import MbTLSServerEngine
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SessionAborted
 from repro.io import Connection, DuplexConnection, pump
+from repro.io.framing import FRAME_ALERT, FramedConnection, FramedDuplex, pop_frames
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
+from repro.tls.events import ConnectionClosed
+from repro.wire.alerts import Alert
+from repro.wire.handshake import HandshakeType
+from repro.wire.records import ContentType, Record, RecordBuffer
 
 # ---------------------------------------------------------------------------
 # Factories
@@ -365,6 +373,126 @@ class TestDuplexConnectionContract:
         conn.peer_closed_down()
         assert conn.receive_down(b"\x17\x03\x03\x00\x03abc") == []
         assert conn.receive_up(b"\x17\x03\x03\x00\x03abc") == []
+
+
+# ---------------------------------------------------------------------------
+# Abort contract: one fault, one fatal alert per side, one attributed close
+# ---------------------------------------------------------------------------
+
+# A record header declaring more than the maximum TLS record size.
+_OVERSIZED_RECORD = b"\x17\x03\x03\xff\xff"
+# A length-frame header declaring 2 GiB (past MAX_FRAME_PAYLOAD).
+_OVERSIZED_FRAME = b"\x7f\xff\xff\xff"
+
+# The cheapest hostile input each party aborts on, and the origin label
+# its alert must carry. Endpoints are the first party of the pair; duplex
+# parties receive the input on their client-facing segment.
+ABORT_CASES = {
+    "tls": (_OVERSIZED_RECORD, ""),
+    "mbtls": (_OVERSIZED_RECORD, "client"),
+    "mctls": (_OVERSIZED_FRAME, "mctls-endpoint"),
+    "mdtls": (_OVERSIZED_RECORD, "mdtls-client"),
+    "blindbox": (_OVERSIZED_FRAME, "blindbox-endpoint"),
+    "mdtls_middlebox": (_OVERSIZED_RECORD, "mdtls-middlebox:mbox"),
+    "split_tls": (_OVERSIZED_RECORD, "split-tls-middlebox"),
+    "shared_key": (_OVERSIZED_RECORD, "shared-key-middlebox"),
+    "mctls_inspector": (_OVERSIZED_FRAME, "mctls-middlebox"),
+    "blindbox_inspector": (_OVERSIZED_FRAME, "blindbox-inspector"),
+}
+
+# Parties that by design do not abort on hostile bytes.
+NON_ABORTING_CASES = {
+    # An unauthenticated byte relay: it has nothing to check.
+    "splice_relay": "relays every byte verbatim",
+    # Framing that is not TLS means the flow is not mbTLS (§3.4).
+    "mbtls_middlebox": "demotes itself to a transparent relay",
+}
+
+
+def _alerts_on_wire(conn, wire: bytes) -> list[Alert]:
+    """The alerts in one drained outbox, framed or TLS records."""
+    if isinstance(conn, (FramedConnection, FramedDuplex)):
+        return [
+            Alert.decode(payload)
+            for kind, payload in pop_frames(bytearray(wire))
+            if kind == FRAME_ALERT
+        ]
+    buffer = RecordBuffer()
+    buffer.feed(wire)
+    return [
+        Alert.decode(record.payload)
+        for record in buffer.pop_records()
+        if record.content_type == ContentType.ALERT
+    ]
+
+
+def _hostile_party(name, pki, rng):
+    """(party, receive, drains) for one case, started and drained."""
+    if name in ENDPOINT_CASES:
+        party, _ = ENDPOINT_CASES[name][0](pki, rng)
+        party.start()
+        party.data_to_send()
+        return party, party.receive_bytes, (party.data_to_send,)
+    party = DUPLEX_CASES[name][0](pki, rng)
+    party.start()
+    drains = (party.data_to_send_down, party.data_to_send_up)
+    for drain in drains:
+        drain()
+    return party, party.receive_down, drains
+
+
+def test_abort_cases_cover_every_implementation():
+    assert not set(ABORT_CASES) & set(NON_ABORTING_CASES)
+    assert set(ABORT_CASES) | set(NON_ABORTING_CASES) == (
+        set(ENDPOINT_CASES) | set(DUPLEX_CASES)
+    )
+
+
+@pytest.mark.parametrize("name", ABORT_CASES)
+def test_abort_sends_one_attributed_alert_per_side(pki, rng, name):
+    hostile, origin = ABORT_CASES[name]
+    party, receive, drains = _hostile_party(name, pki, rng)
+
+    events = receive(hostile)
+
+    closes = [e for e in events if isinstance(e, ConnectionClosed) and e.alert]
+    assert len(closes) == 1
+    assert closes[0].origin == origin
+    assert party.closed
+    assert isinstance(party.abort, SessionAborted)
+    assert party.abort.origin == origin
+    assert party.abort.alert == closes[0].alert
+    for drain in drains:
+        alerts = _alerts_on_wire(party, drain())
+        assert [(a.is_fatal, a.origin) for a in alerts] == [(True, origin)]
+        assert alerts[0].description.name.lower() == party.abort.alert
+    assert receive(hostile) == []
+
+
+@pytest.mark.parametrize("name", NON_ABORTING_CASES)
+def test_relaying_parties_forward_hostile_bytes(pki, rng, name):
+    party, receive, drains = _hostile_party(name, pki, rng)
+    assert receive(_OVERSIZED_RECORD) == []
+    assert not party.closed
+    assert drains[1]() == _OVERSIZED_RECORD
+
+
+# One handshake header declaring 0xFFFFFF bytes, in a handshake record.
+_HUGE_HANDSHAKE = Record(
+    content_type=ContentType.HANDSHAKE,
+    payload=bytes([HandshakeType.CERTIFICATE]) + b"\xff\xff\xff",
+).encode()
+
+
+@pytest.mark.parametrize("name", ("tls", "mbtls", "mdtls", "split_tls"))
+def test_oversized_handshake_header_aborts_at_once(pki, rng, name):
+    """The handshake reassembly bound trips at the header, not after
+    buffering the 16 MiB the header declares."""
+    party, receive, _ = _hostile_party(name, pki, rng)
+    events = receive(_HUGE_HANDSHAKE)
+    assert party.closed
+    assert party.abort.alert == "decode_error"
+    assert [e.alert for e in events if isinstance(e, ConnectionClosed)] == ["decode_error"]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,18 @@ Every failing case is reproducible from its printed
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.bench.fuzzing import CASE_NAMES, UNAUTHENTICATED_CASES, run_case
+from repro.bench.fuzzing import (
+    CASE_NAMES,
+    UNAUTHENTICATED_CASES,
+    _pki,
+    build_parties,
+    run_case,
+    smoke_corpus,
+)
 from repro.netsim.fuzz import MUTATION_KINDS, ChunkMutator, FuzzCase, FuzzTap
 
 SEEDS = (b"fz-0", b"fz-1", b"fz-2", b"fz-3", b"fz-4")
@@ -113,6 +122,28 @@ def test_replay_is_byte_identical(name):
     assert first.events == second.events
     assert first.mutations == second.mutations
     assert first.kind == second.kind
+
+
+def test_smoke_corpus_digest_is_pinned():
+    """The smoke corpus replays bit for bit across processes and hash seeds:
+    every wire byte, event type and alert (description and origin) of all
+    twelve implementations is folded into this one digest."""
+    digest = hashlib.sha256(
+        "".join(report.digest for report in smoke_corpus()).encode()
+    ).hexdigest()
+    assert digest == "7dee67e7d228244a6f10dd8de75d767b4c8f1b71f6579b691f12a6280367fe84"
+
+
+def test_builders_issue_no_certificate_after_the_pki_is_made():
+    """Certificate serials count issues, so a builder that issued lazily
+    would make a case's digest depend on which cases its process ran first
+    (and a replay differ from the sweep that reported it)."""
+    seed = b"serial-order"
+    pki = _pki(seed)
+    issued = pki.ca._serial
+    for name in reversed(CASE_NAMES):
+        build_parties(name, seed)
+    assert pki.ca._serial == issued
 
 
 def test_tampering_is_actually_observed():

@@ -15,6 +15,7 @@ from repro.wire.handshake import (
     HandshakeBuffer,
     HandshakeType,
     KexAlgorithm,
+    MAX_HANDSHAKE_MESSAGE,
     NewSessionTicket,
     ServerHello,
     ServerHelloDone,
@@ -159,6 +160,27 @@ class TestHandshakeBuffer:
     def test_unknown_type_rejected(self):
         buffer = HandshakeBuffer()
         buffer.feed(b"\x63\x00\x00\x00")
+        with pytest.raises(DecodeError):
+            buffer.pop_messages()
+
+    def test_unknown_type_rejected_at_the_header(self):
+        buffer = HandshakeBuffer()
+        buffer.feed(b"\x63\x00\x10\x00")  # body not yet arrived
+        with pytest.raises(DecodeError):
+            buffer.pop_messages()
+
+    def test_declared_length_bounded_at_the_header(self):
+        buffer = HandshakeBuffer()
+        buffer.feed(bytes([HandshakeType.CERTIFICATE]) + b"\xff\xff\xff")
+        with pytest.raises(DecodeError):
+            buffer.pop_messages()
+
+    def test_largest_allowed_message_reassembles(self):
+        body = b"\x00" * MAX_HANDSHAKE_MESSAGE
+        buffer = HandshakeBuffer()
+        buffer.feed(self._framed(HandshakeType.CERTIFICATE, body))
+        assert [message.body for message in buffer.pop_messages()] == [body]
+        buffer.feed((MAX_HANDSHAKE_MESSAGE + 1).to_bytes(4, "big"))
         with pytest.raises(DecodeError):
             buffer.pop_messages()
 
