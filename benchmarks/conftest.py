@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.scenarios import Pki
 from repro.crypto.drbg import HmacDrbg
+
+# Benchmarks assert against the tier-1 suite's snapshots (e.g. Table 1)
+# rather than keeping copies. Appended, so ``conftest`` here still wins.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

@@ -4,31 +4,15 @@ Regenerates the paper's threat/defense matrix by executing one concrete
 attack per row against TLS, mbTLS, and the baselines, and prints which were
 defended. The paper's table is qualitative; the reproduction asserts the
 same qualitative outcomes (mbTLS defends everything in its threat model;
-the shared-key design and enclave-less outsourcing do not).
+the shared-key design and enclave-less outsourcing do not), row for row
+against the tier-1 snapshot in ``tests/test_security_properties.py``.
 """
 
 from conftest import emit
 
 from repro.bench.tables import render_table
 from repro.bench.threats import run_all_threats, wire_secrecy_mbtls
-
-# Rows where "defended" is the paper's claim, keyed by (threat, protocol).
-EXPECTED_DEFENDED = {
-    ("wire data read by third party", "TLS"): True,
-    ("wire data read by third party", "mbTLS"): True,
-    ("session keys read from middlebox memory by MIP", "mbTLS+SGX"): True,
-    ("session keys read from middlebox memory by MIP", "mbTLS w/o enclave"): False,
-    ("modification detectable by comparing hops", "mbTLS"): True,
-    ("modification detectable by comparing hops", "shared-key baseline"): False,
-    ("record skips the middlebox (path integrity)", "mbTLS"): True,
-    ("record skips the middlebox (path integrity)", "shared-key baseline"): False,
-    ("records modified/injected on the wire", "mbTLS"): True,
-    ("record replayed on its own hop", "mbTLS"): True,
-    ("key established with impostor server", "TLS/mbTLS"): True,
-    ("middlebox operated by wrong MSP", "mbTLS"): True,
-    ("wrong middlebox software (code identity)", "mbTLS"): True,
-    ("old sessions decrypted after key compromise", "TLS/mbTLS"): True,
-}
+from test_security_properties import TABLE1_SNAPSHOT
 
 
 def test_table1_threat_matrix(benchmark):
@@ -49,9 +33,8 @@ def test_table1_threat_matrix(benchmark):
             rows,
         )
     )
-    for outcome in outcomes:
-        expected = EXPECTED_DEFENDED[(outcome.threat, outcome.protocol)]
-        assert outcome.defended == expected, (outcome.threat, outcome.protocol)
+    matrix = [(outcome.threat, outcome.protocol, outcome.defended) for outcome in outcomes]
+    assert matrix == TABLE1_SNAPSHOT
 
 
 def test_single_threat_scenario_cost(benchmark):

@@ -274,8 +274,11 @@ class _MdTLSEndpoint:
             return []
         events: list = []
         try:
-            self._plane.feed(data)
-            for record in self._plane.pop_records():
+            plane = self._plane
+            plane.feed(data)
+            for record, plaintext in plane.open_flight(
+                plane.pop_records(), lambda: self.established
+            ):
                 if self.closed:
                     break
                 if record.content_type == ContentType.ALERT:
@@ -306,9 +309,9 @@ class _MdTLSEndpoint:
                             "application data before handshake completion",
                             alert="unexpected_message",
                         )
-                    events.append(
-                        ApplicationData(data=self._plane.unprotect(record))
-                    )
+                    if plaintext is None:
+                        plaintext = plane.unprotect(record)
+                    events.append(ApplicationData(data=plaintext))
                     continue
                 raise ProtocolError(
                     f"unexpected content type {int(record.content_type)}",
@@ -876,7 +879,9 @@ class MdTLSMiddleboxConnection:
         events: list = []
         try:
             inbound.feed(data)
-            for record in inbound.pop_records():
+            for record, plaintext in inbound.open_flight(
+                inbound.pop_records(), lambda: self.established
+            ):
                 if self.closed:
                     break
                 if record.content_type == ContentType.ALERT:
@@ -894,7 +899,8 @@ class MdTLSMiddleboxConnection:
                             "application data before handshake completion",
                             alert="unexpected_message",
                         )
-                    plaintext = inbound.unprotect(record)
+                    if plaintext is None:
+                        plaintext = inbound.unprotect(record)
                     outbound.queue_record(ContentType.APPLICATION_DATA, plaintext)
                     self.records_forwarded += 1
                     continue

@@ -28,12 +28,11 @@ from repro.core.keys import build_hop_chain, bridge_hop_keys, hop_states_for_end
 from repro.core.mux import Subchannel
 from repro.core.resumption import RememberedMiddlebox
 from repro import obs
-from repro.errors import IntegrityError, ProtocolError
+from repro.errors import ProtocolError
 from repro.tls.ciphersuites import suite_by_code
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine
 from repro.tls.events import (
-    ApplicationData,
     ConnectionClosed,
     Event,
     HandshakeComplete,
@@ -85,45 +84,6 @@ class MbTLSClientEngine(MbTLSEndpoint):
         self.primary.start()
         self._drain_primary()
 
-    def receive_bytes(self, data: bytes) -> list[Event]:
-        if self.closed:
-            return []
-        try:
-            self._plane.feed(data)
-            records = self._plane.pop_records()
-            index = 0
-            total = len(records)
-            while index < total:
-                record = records[index]
-                if (
-                    record.content_type == ContentType.APPLICATION_DATA
-                    and self.established
-                    and self._plane.write_state is not None
-                ):
-                    # Batch the run of application data through one
-                    # unprotect_many (batched AEAD, pool-eligible).
-                    end = index + 1
-                    while (
-                        end < total
-                        and records[end].content_type
-                        == ContentType.APPLICATION_DATA
-                    ):
-                        end += 1
-                    if end - index > 1:
-                        self._process_data_batch(records[index:end])
-                        index = end
-                        continue
-                self._process_record(record)
-                index += 1
-            self._check_established()
-        except (IntegrityError, ProtocolError) as exc:
-            # Unparseable or forged input on the primary stream: answer with
-            # a fatal alert on whatever plane is live, then shut down.
-            self._abort(exc)
-        events = self._events
-        self._events = []
-        return events
-
     def send_application_data(self, data: bytes) -> None:
         if self.closed:
             raise ProtocolError("cannot send application data on a closed connection")
@@ -172,26 +132,6 @@ class MbTLSClientEngine(MbTLSEndpoint):
         return events
 
     # ------------------------------------------------------------ internals
-
-    def _process_data_batch(self, records: list[Record]) -> None:
-        """Decrypt a run of application data in one batched call.
-
-        ``unprotect_many`` is all-or-nothing — no sequence number is
-        consumed on failure — so replaying the run per record reproduces
-        the serial tamper semantics (drop or abort per policy) exactly.
-        """
-        try:
-            plaintexts = self._plane.unprotect_many(records)
-        except IntegrityError:
-            for record in records:
-                if self.closed:
-                    return
-                self._process_data_record(record)
-            return
-        for plaintext in plaintexts:
-            if self.closed:
-                return
-            self._events.append(ApplicationData(data=plaintext))
 
     def _new_subchannel(self, encap: EncapsulatedRecord) -> None:
         """A middlebox opened a new subchannel with its secondary ServerHello."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro import obs
 from repro.core.config import MbTLSEndpointConfig, MiddleboxInfo
 from repro.core.mux import Subchannel
-from repro.errors import IntegrityError, SessionAborted
+from repro.errors import IntegrityError, ProtocolError, SessionAborted
 from repro.io import abort
 from repro.io.record_plane import RecordPlane
 from repro.tls.events import AlertReceived, ApplicationData, ConnectionClosed, Event
@@ -27,9 +27,12 @@ __all__ = ["MbTLSEndpoint"]
 class MbTLSEndpoint:
     """Base of both mbTLS endpoints.
 
-    Subclasses implement ``start``, ``receive_bytes``,
-    ``send_application_data`` and the subchannel hooks
-    :meth:`_new_subchannel` and ``_handle_secondary_events``.
+    :meth:`receive_bytes` is shared: it walks each flight with the
+    plane's :meth:`~repro.io.record_plane.RecordPlane.open_flight`.
+    Subclasses implement ``start`` and ``send_application_data``, the
+    subchannel hooks :meth:`_new_subchannel` and
+    ``_handle_secondary_events``, and ``_check_established``, which runs
+    after every flight.
     """
 
     is_client: bool
@@ -62,6 +65,30 @@ class MbTLSEndpoint:
         self.fallback_decisions: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------ API
+
+    def receive_bytes(self, data: bytes) -> list[Event]:
+        if self.closed:
+            return []
+        try:
+            plane = self._plane
+            plane.feed(data)
+            for record, plaintext in plane.open_flight(
+                plane.pop_records(), self._on_hop_keys
+            ):
+                if self.closed:
+                    break
+                if plaintext is None:
+                    self._process_record(record)
+                else:
+                    self._events.append(ApplicationData(data=plaintext))
+            self._check_established()
+        except (IntegrityError, ProtocolError) as exc:
+            # Unparseable or forged input on the primary stream: answer with
+            # a fatal alert on whatever plane is live, then shut down.
+            self._abort(exc)
+        events = self._events
+        self._events = []
+        return events
 
     def data_to_send(self) -> bytes:
         return self._plane.data_to_send()
@@ -145,11 +172,15 @@ class MbTLSEndpoint:
             self.primary._plane.queue_record(ContentType.ALERT, alert.encode())
             self._drain_primary()
 
+    def _on_hop_keys(self) -> bool:
+        """Whether data records travel under this endpoint's hop keys."""
+        return self.established and self._plane.write_state is not None
+
     def _process_record(self, record: Record) -> None:
         if record.content_type == ContentType.MBTLS_ENCAPSULATED:
             self._process_encapsulated(EncapsulatedRecord.from_record(record))
             return
-        if self.established and self._plane.write_state is not None and record.content_type in (
+        if self._on_hop_keys() and record.content_type in (
             ContentType.APPLICATION_DATA,
             ContentType.ALERT,
         ):

@@ -230,40 +230,17 @@ class MbTLSMiddlebox:
                 # buffer bound tripped: abort rather than buffer forever.
                 self._abort(exc)
                 records = []
-            index = 0
-            total = len(records)
-            while index < total:
+            for record, plaintext in plane.open_flight(records, self._can_batch_data):
                 if self.closed:
                     break
-                record = records[index]
                 if self.mode == self.MODE_RELAY:
                     self._planes[1 - side].queue_encoded(record)
-                    index += 1
                     continue
-                if (
-                    record.content_type == ContentType.APPLICATION_DATA
-                    and self._can_batch_data()
-                ):
-                    # A run of application data in the steady state shares
-                    # one unprotect_many (batched AEAD, pool-eligible).
-                    end = index + 1
-                    while (
-                        end < total
-                        and records[end].content_type
-                        == ContentType.APPLICATION_DATA
-                    ):
-                        end += 1
-                    if end - index > 1:
-                        try:
-                            self._data_plane_many(side, records[index:end])
-                        except (DecodeError, IntegrityError, CryptoError):
-                            pass
-                        except ProtocolError as exc:
-                            self._abort(exc)
-                        index = end
-                        continue
                 try:
-                    self._process(side, record)
+                    if plaintext is None:
+                        self._process(side, record)
+                    else:
+                        self._data_plane(side, record, plaintext)
                 except (DecodeError, IntegrityError, CryptoError):
                     # A corrupted record inside otherwise-valid framing
                     # (malformed Encapsulated wrapper, garbage key
@@ -273,7 +250,6 @@ class MbTLSMiddlebox:
                     pass
                 except ProtocolError as exc:
                     self._abort(exc)
-                index += 1
         events = self._events
         self._events = []
         return events
@@ -646,9 +622,10 @@ class MbTLSMiddlebox:
     # -------------------------------------------------------------- data path
 
     def _can_batch_data(self) -> bool:
-        """Whether application data can take the batched decrypt path:
-        steady-state forwarding with hop keys installed (every special
-        case — pending keys, rejected, gave up — goes per record)."""
+        """Whether application data can be opened in a batch: steady-state
+        forwarding with hop keys installed, where every application-data
+        record reaches :meth:`_data_plane` (every special case — pending
+        keys, rejected, gave up — goes per record)."""
         return (
             self.mode in (self.MODE_CLIENT_SIDE, self.MODE_SERVER_SIDE)
             and self.keys_installed
@@ -656,42 +633,14 @@ class MbTLSMiddlebox:
             and not self.gave_up
         )
 
-    def _data_plane_many(self, from_side: int, records: list[Record]) -> None:
-        """Decrypt a run of application data in one batched call.
+    def _data_plane(
+        self, from_side: int, record: Record, plaintext: bytes | None = None
+    ) -> None:
+        """Re-protect one data record onto the next hop.
 
-        ``unprotect_many`` is all-or-nothing — on any failure no sequence
-        number is consumed, so replaying the run through the per-record
-        path reproduces the serial semantics exactly (valid prefix
-        forwarded, the bad record dropped or aborted per policy).
+        ``plaintext`` is given when the flight walk already opened the
+        record in a batch; otherwise it is opened here.
         """
-        plane = self._planes[from_side]
-        try:
-            plaintexts = plane.unprotect_many(records)
-        except (IntegrityError, CryptoError):
-            for record in records:
-                if self.closed:
-                    return
-                try:
-                    self._data_plane(from_side, record)
-                except (DecodeError, IntegrityError, CryptoError):
-                    continue  # same per-record drop as the serial loop
-            return
-        direction = "c2s" if from_side == _DOWN else "s2c"
-        counted = obs.counter(
-            "records_processed", party=self.config.name, direction=direction
-        )
-        out_plane = self._planes[1 - from_side]
-        for plaintext in plaintexts:
-            if self.closed:
-                return
-            plaintext = self._run_app(direction, plaintext)
-            self.records_processed += 1
-            counted.inc()
-            if plaintext is None:
-                continue  # the application consumed the chunk
-            out_plane.queue_record(ContentType.APPLICATION_DATA, plaintext)
-
-    def _data_plane(self, from_side: int, record: Record) -> None:
         if self.rejected or self.gave_up:
             self._forward(from_side, record)
             return
@@ -699,16 +648,17 @@ class MbTLSMiddlebox:
             self._pending[0 if from_side == _DOWN else 1].append(record)
             return
         direction = "c2s" if from_side == _DOWN else "s2c"
-        try:
-            plaintext = self._planes[from_side].unprotect(record)
-        except IntegrityError as exc:
-            if self.config.tamper_policy == "abort":
-                self._abort(exc)
-            else:
-                # Tampered or out-of-path record: drop it (P2/P4).
-                self.records_dropped += 1
-                obs.counter("records_dropped", party=self.config.name).inc()
-            return
+        if plaintext is None:
+            try:
+                plaintext = self._planes[from_side].unprotect(record)
+            except IntegrityError as exc:
+                if self.config.tamper_policy == "abort":
+                    self._abort(exc)
+                else:
+                    # Tampered or out-of-path record: drop it (P2/P4).
+                    self.records_dropped += 1
+                    obs.counter("records_dropped", party=self.config.name).inc()
+                return
         if record.content_type == ContentType.ALERT:
             self._propagate_alert(from_side, plaintext)
             return

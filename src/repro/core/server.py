@@ -27,7 +27,7 @@ from repro.core.endpoint import MbTLSEndpoint
 from repro.core.keys import build_hop_chain, bridge_hop_keys, hop_states_for_endpoint
 from repro.core.mux import Subchannel
 from repro import obs
-from repro.errors import DecodeError, IntegrityError, ProtocolError
+from repro.errors import DecodeError, ProtocolError
 from repro.tls.ciphersuites import suite_by_code
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
@@ -60,22 +60,6 @@ class MbTLSServerEngine(MbTLSEndpoint):
         self._session_span = obs.tracer().begin(
             "handshake.mbtls", party=self.origin_label)
         self.primary.start()
-
-    def receive_bytes(self, data: bytes) -> list[Event]:
-        if self.closed:
-            return []
-        try:
-            self._plane.feed(data)
-            for record in self._plane.pop_records():
-                self._process_record(record)
-            self._check_established()
-        except (IntegrityError, ProtocolError) as exc:
-            # Unparseable or forged input on the primary stream: answer with
-            # a fatal alert on whatever plane is live, then shut down.
-            self._abort(exc)
-        events = self._events
-        self._events = []
-        return events
 
     def send_application_data(self, data: bytes) -> None:
         if self.closed:

@@ -13,6 +13,10 @@ application writes are fragmented through a ``memoryview`` (no eager
 per-fragment slice copies), and a whole multi-record flight drains as one
 ``bytes`` for one transport write. ``benchmarks/test_record_plane_throughput.py``
 tracks the copy count and throughput against the historical per-record path.
+
+The inbound path is one walk, :meth:`RecordPlane.open_flight`, shared by
+every party that reads records: it batches runs of application data and
+hands every other record back for the party to open.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro import obs
-from repro.errors import ProtocolError
+from repro.errors import CryptoError, ProtocolError
 from repro.wire.records import (
     ContentType,
     MAX_FRAGMENT,
@@ -174,6 +178,38 @@ class RecordPlane:
             counted.inc()
             size.inc(len(plaintext))
         return plaintexts
+
+    def open_flight(self, records: list[Record], batch_ready):
+        """Walk a popped flight, yielding ``(record, plaintext | None)``.
+
+        The one receive path of every record-reading party. A run of two
+        or more application-data records is opened in one
+        :meth:`unprotect_many` call when ``batch_ready()`` holds at the
+        run's first record; the check is made lazily because records
+        earlier in the flight may install keys. Every other record, and
+        every record of a run whose batch failed, yields ``None``: the
+        caller opens it itself and applies its own tamper policy. A failed
+        batch consumed no sequence number, so per-record replay is exact.
+        """
+        total = len(records)
+        index = 0
+        while index < total:
+            end = index + 1
+            if records[index].content_type == ContentType.APPLICATION_DATA:
+                while (
+                    end < total
+                    and records[end].content_type == ContentType.APPLICATION_DATA
+                ):
+                    end += 1
+            run = records[index:end]
+            plaintexts = [None] * len(run)
+            if len(run) > 1 and batch_ready():
+                try:
+                    plaintexts = self.unprotect_many(run)
+                except CryptoError:
+                    pass
+            yield from zip(run, plaintexts)
+            index = end
 
     def activate_pending_read(self) -> None:
         """ChangeCipherSpec arrived: flip to the staged read state."""

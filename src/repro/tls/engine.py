@@ -188,8 +188,14 @@ class TLSEngine:
         if self._state == _State.CLOSED:
             return []
         try:
-            self._plane.feed(data)
-            self._process_records(self._plane.pop_records())
+            plane = self._plane
+            plane.feed(data)
+            for record, payload in plane.open_flight(
+                plane.pop_records(), lambda: plane.read_state is not None
+            ):
+                if self.closed:
+                    break
+                self._process_record(record, payload)
         except IntegrityError:
             # The AEAD's own reason stays private to the engine.
             self._fatal(IntegrityError("record authentication failed"))
@@ -295,44 +301,6 @@ class TLSEngine:
 
     def _transcript_hash(self) -> bytes:
         return hashlib.sha256(b"".join(self._transcript)).digest()
-
-    def _process_records(self, records: list[Record]) -> None:
-        """Process a flight, batch-decrypting runs of application data.
-
-        Consecutive application-data records share one ``unprotect_many``
-        call; on a batch failure we replay that run per record so the
-        valid prefix still produces its events before the alert fires.
-        """
-        total = len(records)
-        index = 0
-        plane = self._plane
-        while index < total:
-            record = records[index]
-            if (
-                record.content_type == ContentType.APPLICATION_DATA
-                and hasattr(plane.read_state, "unprotect_many")
-            ):
-                end = index + 1
-                while (
-                    end < total
-                    and records[end].content_type == ContentType.APPLICATION_DATA
-                ):
-                    end += 1
-                if end - index > 1:
-                    batch = records[index:end]
-                    try:
-                        payloads = plane.unprotect_many(batch)
-                    except IntegrityError:
-                        for item in batch:
-                            self._process_record(item)
-                        index = end
-                        continue
-                    for item, payload in zip(batch, payloads):
-                        self._process_record(item, payload)
-                    index = end
-                    continue
-            self._process_record(record)
-            index += 1
 
     def _process_record(self, record: Record, payload: bytes | None = None) -> None:
         if payload is None:

@@ -14,6 +14,9 @@ in ``repro/io/connection.py``:
 * hostile bytes end in one abort (``repro.io.abort``): one attributed
   ``ConnectionClosed``, one fatal alert on every side the party writes to,
   and silence afterwards — except for the parties that relay by design;
+* a flight yields the same events and output bytes at every hop whether
+  it arrives in one call, one record per call or one byte per call, and
+  a forged record still lets the records before it through;
 * the same DRBG seed yields byte-identical wire transcripts (golden hashes
   captured before the record-plane refactor).
 """
@@ -21,6 +24,7 @@ in ``repro/io/connection.py``:
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -49,11 +53,11 @@ from repro.core.middlebox import MbTLSMiddlebox
 from repro.core.server import MbTLSServerEngine
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ProtocolError, SessionAborted
-from repro.io import Connection, DuplexConnection, pump
+from repro.io import Connection, DuplexConnection, pump, pump_chain
 from repro.io.framing import FRAME_ALERT, FramedConnection, FramedDuplex, pop_frames
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
-from repro.tls.events import ConnectionClosed
+from repro.tls.events import AlertReceived, ApplicationData, ConnectionClosed
 from repro.wire.alerts import Alert
 from repro.wire.handshake import HandshakeType
 from repro.wire.records import ContentType, Record, RecordBuffer
@@ -677,3 +681,196 @@ def test_mbtls_transcript_golden():
         combined.hexdigest()
         == "2b4c05c8b432dabd954e14e985ae154e97656867c5fb5473a741cb9187896c15"
     )
+
+
+# ---------------------------------------------------------------------------
+# Receive path: one flight, any segmentation, same outcome
+# ---------------------------------------------------------------------------
+
+# Four application writes of unequal size, queued and drained as one flight.
+_FLIGHT_WRITES = (b"first", b"second" * 40, b"third" * 300, b"fourth")
+_TAMPERED_RECORD = 1  # the second record of the flight
+
+
+def _record_spans(wire: bytes) -> list[tuple[int, int]]:
+    """(start, end) of every complete record in ``wire``."""
+    spans, offset = [], 0
+    while offset + 5 <= len(wire):
+        end = offset + 5 + int.from_bytes(wire[offset + 3 : offset + 5], "big")
+        spans.append((offset, end))
+        offset = end
+    return spans
+
+
+def _segments(wire: bytes, delivery: str) -> list[bytes]:
+    if delivery == "one_call":
+        return [wire] if wire else []
+    if delivery == "per_record":
+        return [wire[start:end] for start, end in _record_spans(wire)]
+    return [wire[index : index + 1] for index in range(len(wire))]
+
+
+def _flip_tag(wire: bytes, index: int) -> bytes:
+    """Flip the last byte (inside the AEAD tag) of record ``index``."""
+    _, end = _record_spans(wire)[index]
+    return wire[: end - 1] + bytes([wire[end - 1] ^ 0x01]) + wire[end:]
+
+
+def _segmentation_pair(factory, pki, direction):
+    """(sender, hops) for an endpoint pair: one hop, the receiving end."""
+    client, server = factory(pki, HmacDrbg(b"segmentation"))
+    client.start()
+    server.start()
+    pump(client, server)
+    sender, receiver = (client, server) if direction == "c2s" else (server, client)
+    return sender, [(receiver.receive_bytes, None, receiver.data_to_send)]
+
+
+def _mbtls_chain_parties(pki, rng, tamper_policy):
+    def endpoint_config(tls):
+        return MbTLSEndpointConfig(
+            tls=tls, middlebox_trust_store=pki.trust, tamper_policy=tamper_policy
+        )
+
+    client = MbTLSClientEngine(endpoint_config(
+        TLSConfig(rng=rng.fork(b"cli"), trust_store=pki.trust, server_name="server")
+    ))
+    middlebox = MbTLSMiddlebox(
+        MiddleboxConfig(
+            name="mbox",
+            tls=TLSConfig(rng=rng.fork(b"mb"), credential=pki.credential("mbox")),
+            process=identity,
+            tamper_policy=tamper_policy,
+        ),
+        destination="server",
+    )
+    server = MbTLSServerEngine(endpoint_config(
+        TLSConfig(rng=rng.fork(b"srv"), credential=pki.credential("server"))
+    ))
+    return client, middlebox, server
+
+
+def _mdtls_chain_parties(pki, rng):
+    deployment = _mdtls_deployment(pki, rng, middleboxes=("mbox",))
+    return (
+        deployment.build_client(),
+        deployment.build_middlebox(0),
+        deployment.build_server(),
+    )
+
+
+def _segmentation_chain(build, pki, direction):
+    """(sender, hops) for a one-middlebox chain: the middlebox, then the
+    far endpoint."""
+    client, middlebox, server = build(pki, HmacDrbg(b"segmentation"))
+    for party in (client, middlebox, server):
+        party.start()
+    pump_chain(client, middlebox, server)
+    assert client.established and server.established
+    if direction == "c2s":
+        return client, [
+            (middlebox.receive_down, middlebox.data_to_send_up,
+             middlebox.data_to_send_down),
+            (server.receive_bytes, None, server.data_to_send),
+        ]
+    return server, [
+        (middlebox.receive_up, middlebox.data_to_send_down,
+         middlebox.data_to_send_up),
+        (client.receive_bytes, None, client.data_to_send),
+    ]
+
+
+# Each case: (pki, direction) -> (sender, hops), handshake done. A hop is
+# (receive, drain toward the far end or None, drain back toward the sender).
+SEGMENTATION_CASES = {
+    "tls": partial(_segmentation_pair, _tls_pair),
+    "mbtls": partial(_segmentation_pair, _mbtls_pair),
+    "mdtls": partial(_segmentation_pair, _mdtls_pair),
+    "mbtls_chain_drop": partial(
+        _segmentation_chain, partial(_mbtls_chain_parties, tamper_policy="drop")
+    ),
+    "mbtls_chain_abort": partial(
+        _segmentation_chain, partial(_mbtls_chain_parties, tamper_policy="abort")
+    ),
+    "mdtls_chain": partial(_segmentation_chain, _mdtls_chain_parties),
+}
+
+
+def _deliver_flight(case, direction, pki, tampered: bool, delivery: str):
+    """Send the four-write flight along one case's path, segmented one way.
+
+    Returns per hop the events it emitted, the bytes it forwarded to the
+    next hop, and the bytes it wrote back toward the sender.
+    """
+    sender, hops = SEGMENTATION_CASES[case](pki, direction)
+    for data in _FLIGHT_WRITES:
+        sender.send_application_data(data)
+    wire = sender.data_to_send()
+    assert len(_record_spans(wire)) == len(_FLIGHT_WRITES)
+    if tampered:
+        wire = _flip_tag(wire, _TAMPERED_RECORD)
+    observed = []
+    for receive, forward, backward in hops:
+        events, forwarded, returned = [], b"", b""
+        for segment in _segments(wire, delivery):
+            events += receive(segment)
+            if forward is not None:
+                forwarded += forward()
+            returned += backward()
+        observed.append((events, forwarded, returned))
+        wire = forwarded
+    return observed
+
+
+@pytest.mark.parametrize("tampered", (False, True), ids=("clean", "tampered"))
+@pytest.mark.parametrize("direction", ("c2s", "s2c"))
+@pytest.mark.parametrize("case", SEGMENTATION_CASES)
+def test_flight_outcome_is_independent_of_segmentation(pki, case, direction, tampered):
+    """A flight delivered in one call, one record per call or one byte per
+    call yields the same events and the same output bytes at every hop;
+    with a forged tag on the second record, the record before it is still
+    delivered and the forged one never is."""
+    outcomes = {
+        delivery: _deliver_flight(case, direction, pki, tampered, delivery)
+        for delivery in ("one_call", "per_record", "per_byte")
+    }
+    assert outcomes["per_record"] == outcomes["one_call"]
+    assert outcomes["per_byte"] == outcomes["one_call"]
+    far_events = outcomes["one_call"][-1][0]
+    delivered = [event.data for event in far_events if isinstance(event, ApplicationData)]
+    if tampered:
+        assert delivered[0] == _FLIGHT_WRITES[0]
+        assert _FLIGHT_WRITES[_TAMPERED_RECORD] not in delivered
+    else:
+        assert delivered == list(_FLIGHT_WRITES)
+
+
+def _queue_after_close(sender, data: bytes) -> None:
+    """Queue application data under the keys ``sender`` writes with, as a
+    peer that ignores its own close_notify would."""
+    if getattr(sender, "primary", None) is not None and sender._plane.write_state is None:
+        # An mbTLS endpoint without hop keys writes through its primary.
+        sender.primary._plane.queue_record(ContentType.APPLICATION_DATA, data)
+        sender._drain_primary()
+    else:
+        sender._plane.queue_record(ContentType.APPLICATION_DATA, data)
+
+
+@pytest.mark.parametrize("direction", ("c2s", "s2c"))
+@pytest.mark.parametrize("case", SEGMENTATION_CASES)
+def test_a_close_inside_a_flight_ends_the_walk(pki, case, direction):
+    """A record behind a close_notify in the same flight raises no event:
+    every party stops walking a flight once it is closed."""
+    sender, hops = SEGMENTATION_CASES[case](pki, direction)
+    sender.send_application_data(b"before")
+    sender.close()
+    _queue_after_close(sender, b"after")
+    wire = sender.data_to_send()
+    assert len(_record_spans(wire)) == 3
+    for receive, forward, _ in hops:
+        events = receive(wire)
+        wire = forward() if forward is not None else b""
+    assert [type(event) for event in events] == [
+        ApplicationData, AlertReceived, ConnectionClosed,
+    ]
+    assert events[0].data == b"before"

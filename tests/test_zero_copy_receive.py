@@ -1,11 +1,13 @@
 """Zero-copy receive path: ``pop_record_views`` must parse exactly like
 ``pop_records`` while materializing one snapshot per flight instead of
 one ``bytes`` per record, and the record plane must hand those views to
-the batched open without copying."""
+the batched open without copying. ``RecordPlane.open_flight``, the one
+receive path every record-reading party walks, batches exactly the runs
+of application data it may."""
 
 import pytest
 
-from repro.errors import DecodeError
+from repro.errors import DecodeError, IntegrityError
 from repro.io.record_plane import RecordPlane
 from repro.tls.ciphersuites import TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256
 from repro.tls.record_layer import ConnectionState
@@ -80,15 +82,106 @@ class TestPopRecordViews:
                 getattr(buffer, method)()
 
 
+class _BatchCountingState(ConnectionState):
+    """A read state that records the size of every batched open."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.batches: list[int] = []
+
+    def unprotect_many(self, records):
+        self.batches.append(len(records))
+        return super().unprotect_many(records)
+
+
+_DATA, _ALERT = ContentType.APPLICATION_DATA, ContentType.ALERT
+
+
 class TestPlaneReceivePath:
     def _sealed_wire(self, payloads):
+        return self._sealed_flight([(_DATA, p) for p in payloads])
+
+    def _sealed_flight(self, items):
         suite = TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256
         key = bytes(range(suite.key_length))
         fixed_iv = b"\x0b" * suite.fixed_iv_length
         writer = ConnectionState(suite, key, fixed_iv)
-        items = [(ContentType.APPLICATION_DATA, p) for p in payloads]
         wire = b"".join(r.encode() for r in writer.protect_many(items))
-        return wire, ConnectionState(suite, key, fixed_iv)
+        return wire, _BatchCountingState(suite, key, fixed_iv)
+
+    def _walk(self, items, batch_ready=lambda: True, on_record=None):
+        """Walk one sealed flight as a caller would: open what the walk
+        did not. Returns (plane, [(payload, batched)])."""
+        wire, read_state = self._sealed_flight(items)
+        plane = RecordPlane()
+        plane.read_state = read_state
+        plane.feed(wire)
+        opened = []
+        for record, plaintext in plane.open_flight(plane.pop_records(), batch_ready):
+            if on_record is not None:
+                on_record(record)
+            batched = plaintext is not None
+            if not batched:
+                plaintext = plane.unprotect(record)
+            opened.append((plaintext, batched))
+        return plane, opened
+
+    def test_each_non_data_record_splits_a_run(self):
+        items = [
+            (_DATA, b"d0"), (_DATA, b"d1"), (_ALERT, b"\x01\x00"),
+            (_DATA, b"d2"), (_DATA, b"d3"), (_DATA, b"d4"), (_ALERT, b"\x01\x00"),
+            (_DATA, b"d5"),
+        ]
+        plane, opened = self._walk(items)
+        assert [plaintext for plaintext, _ in opened] == [p for _, p in items]
+        assert [batched for _, batched in opened] == [
+            True, True, False, True, True, True, False, False,
+        ]
+        assert plane.read_state.batches == [2, 3]
+        assert plane.read_state.sequence == len(items)
+
+    def test_no_batch_while_not_ready(self):
+        items = [(_DATA, b"d%d" % i) for i in range(4)]
+        plane, opened = self._walk(items, batch_ready=lambda: False)
+        assert opened == [(p, False) for _, p in items]
+        assert plane.read_state.batches == []
+
+    def test_readiness_is_checked_at_each_run(self):
+        # The first record "installs keys": only the run after it batches.
+        ready = []
+        items = [(_ALERT, b"\x01\x00"), (_DATA, b"a"), (_DATA, b"b")]
+        plane, opened = self._walk(
+            items, batch_ready=lambda: bool(ready), on_record=ready.append
+        )
+        assert [batched for _, batched in opened] == [False, True, True]
+        assert plane.read_state.batches == [2]
+
+    def test_single_data_record_is_not_batched(self):
+        plane, opened = self._walk([(_DATA, b"solo")])
+        assert opened == [(b"solo", False)]
+        plane, opened = self._walk(
+            [(_ALERT, b"\x01\x00"), (_DATA, b"lone"), (_ALERT, b"\x01\x00")]
+        )
+        assert [batched for _, batched in opened] == [False, False, False]
+        assert plane.read_state.batches == []
+
+    def test_failed_batch_yields_none_for_its_whole_run(self):
+        payloads = [b"p%d" % i * 64 for i in range(4)]
+        wire, read_state = self._sealed_wire(payloads)
+        record_length = len(wire) // len(payloads)  # equal-size records
+        forged = bytearray(wire)
+        forged[2 * record_length - 1] ^= 0x01  # the second record's tag
+        plane = RecordPlane()
+        plane.read_state = read_state
+        plane.feed(bytes(forged))
+        walked = list(plane.open_flight(plane.pop_records(), lambda: True))
+        assert read_state.batches == [4]
+        assert [plaintext for _, plaintext in walked] == [None] * 4
+        assert read_state.sequence == 0
+        # Per-record replay recovers the valid prefix, then fails.
+        assert plane.unprotect(walked[0][0]) == payloads[0]
+        with pytest.raises(IntegrityError):
+            plane.unprotect(walked[1][0])
 
     def test_pop_records_returns_views(self):
         plane = RecordPlane()
