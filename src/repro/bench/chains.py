@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.bench.fuzzing import build_parties
+from repro.bench.fuzzing import SessionRun, build_parties
 from repro.tls.events import ApplicationData
 
 __all__ = ["COMPARE_CASES", "ChainMeasurement", "measure_case", "measure_matrix"]
@@ -46,9 +46,6 @@ COMPARE_CASES = (
     "mdtls_middlebox",
 )
 
-_MAX_ROUNDS = 60
-
-
 @dataclass(frozen=True)
 class ChainMeasurement:
     """One implementation's handshake and data-plane costs."""
@@ -59,58 +56,6 @@ class ChainMeasurement:
     throughput_bytes_per_second: float
 
 
-def _pump_round(parties, sink: list) -> tuple[bool, int]:
-    """One full c2s + s2c pass; returns (progressed, endpoint_flights).
-
-    Only endpoint-originated drains count as flights — middlebox
-    forwarding continues the same flight rather than starting one.
-    """
-    left, middles, right = parties.left, parties.middles, parties.right
-    progressed = False
-    flights = 0
-    data = left.data_to_send()
-    if data:
-        progressed, flights = True, flights + 1
-        if middles:
-            middles[0].receive_down(data)
-        else:
-            sink.extend(right.receive_bytes(data))
-    for index, middle in enumerate(middles):
-        data = middle.data_to_send_up()
-        if data:
-            progressed = True
-            if index + 1 < len(middles):
-                middles[index + 1].receive_down(data)
-            else:
-                sink.extend(right.receive_bytes(data))
-    data = right.data_to_send()
-    if data:
-        progressed, flights = True, flights + 1
-        if middles:
-            middles[-1].receive_up(data)
-        else:
-            left.receive_bytes(data)
-    for index in range(len(middles) - 1, -1, -1):
-        data = middles[index].data_to_send_down()
-        if data:
-            progressed = True
-            if index > 0:
-                middles[index - 1].receive_up(data)
-            else:
-                left.receive_bytes(data)
-    return progressed, flights
-
-
-def _established(parties) -> bool:
-    if not parties.needs_handshake:
-        return True
-    return all(
-        getattr(party, "established", False)
-        or getattr(party, "handshake_complete", False)
-        for party in (parties.left, parties.right)
-    )
-
-
 def measure_case(
     name: str,
     seed: bytes = b"chain-compare",
@@ -118,39 +63,38 @@ def measure_case(
     batches: int = 8,
 ) -> ChainMeasurement:
     """Handshake CPU, flight count, and c2s throughput for one case."""
-    parties = build_parties(name, seed)
-    sink: list = []
-    flights = 0
-    handshake_start = time.process_time()
-    parties.left.start()
-    for middle in parties.middles:
-        middle.start()
-    parties.right.start()
-    for _ in range(_MAX_ROUNDS):
-        progressed, new_flights = _pump_round(parties, sink)
-        flights += new_flights
-        if not progressed:
-            break
-        if _established(parties):
-            break
-    handshake_cpu = time.process_time() - handshake_start
-    if not _established(parties):
-        raise RuntimeError(f"{name} failed to establish adversary-free")
-    if parties.after_handshake is not None:
-        parties.after_handshake()
+    flights = [0]
 
-    sink.clear()
+    def count_flights(link, data):
+        # Only endpoint-originated drains count as flights: middlebox
+        # forwarding continues the same flight rather than starting one.
+        flights[0] += link.tag in (b"c>", b"s>")
+        return data
+
+    parties = build_parties(name, seed)
+    run = SessionRun(parties, count_flights)
+    handshake_start = time.process_time()
+    run.start()
+    # Stop at establishment: pumping on to quiescence would count the
+    # post-handshake traffic some protocols send as a further flight.
+    run.pump(until=run.both_established)
+    handshake_cpu = time.process_time() - handshake_start
+    handshake_flights = flights[0]
+    if not run.both_established() or run.leaked:
+        raise RuntimeError(f"{name} failed to establish adversary-free {run.leaked}")
+    if parties.after_handshake is not None:
+        run.guard("harness", parties.after_handshake)
+
+    mark = len(run.events)
     payload = b"\xa5" * payload_bytes
     data_start = time.process_time()
     for _ in range(batches):
-        parties.left.send_application_data(payload)
-        for _ in range(_MAX_ROUNDS):
-            progressed, _ = _pump_round(parties, sink)
-            if not progressed:
-                break
+        run.send("left", payload)
     data_cpu = time.process_time() - data_start
     delivered = sum(
-        len(event.data) for event in sink if isinstance(event, ApplicationData)
+        len(event.data)
+        for who, event in run.events[mark:]
+        if who == "right" and isinstance(event, ApplicationData)
     )
     if delivered != batches * payload_bytes:
         raise RuntimeError(
@@ -159,7 +103,7 @@ def measure_case(
     return ChainMeasurement(
         case=name,
         handshake_cpu_seconds=handshake_cpu,
-        flights=flights,
+        flights=handshake_flights,
         throughput_bytes_per_second=delivered / data_cpu if data_cpu else 0.0,
     )
 

@@ -18,6 +18,11 @@ Every run is replayable: :func:`run_case` with an equal
 :class:`~repro.netsim.fuzz.FuzzCase` produces a byte-identical transcript
 digest. ``python -m repro fuzz`` runs the smoke corpus and prints failing
 ``(seed, mutation_index)`` pairs.
+
+:class:`SessionRun` is the one guarded, hashed in-memory session loop: the
+fuzz corpus, the downgrade selftest, the chain benchmark and the mdTLS
+threat rows all walk :func:`repro.io.chain_links` through it, each with its
+own ``tap`` on the links.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from repro.core.middlebox import MbTLSMiddlebox
 from repro.core.server import MbTLSServerEngine
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ReproError
+from repro.io import chain_links
 from repro.netsim.fuzz import MUTATION_KINDS, AppliedMutation, FuzzCase
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
@@ -56,15 +62,20 @@ from repro.tls.events import ApplicationData
 
 __all__ = [
     "CASE_NAMES",
+    "PUMP_ROUNDS",
     "UNAUTHENTICATED_CASES",
     "FuzzReport",
+    "Parties",
+    "SessionRun",
     "build_parties",
     "run_case",
     "run_corpus",
     "smoke_corpus",
 ]
 
-_PUMP_ROUNDS = 60
+#: The round bound of every harness pump; a healthy session quiesces in a
+#: handful, so a pump that hits it is a livelock.
+PUMP_ROUNDS = 80
 _C2S_PAYLOADS = (b"fuzz-ping-one", b"fuzz-ping-two")
 _S2C_PAYLOADS = (b"fuzz-pong",)
 
@@ -75,7 +86,7 @@ UNAUTHENTICATED_CASES = frozenset({"blindbox", "blindbox_inspector"})
 
 
 @dataclass
-class _Parties:
+class Parties:
     """One session's cast: ``left - middles - right`` plus phase hooks."""
 
     left: object
@@ -83,6 +94,14 @@ class _Parties:
     right: object
     after_handshake: object = None  # callable, e.g. shared-key installation
     needs_handshake: bool = True
+
+    def named(self) -> list:
+        """``(name, party)`` client first, named as the chain's sinks are."""
+        return [
+            ("left", self.left),
+            *((f"middle{i}", m) for i, m in enumerate(self.middles)),
+            ("right", self.right),
+        ]
 
 
 # One PKI per seed (RSA generation dominates otherwise); the engine DRBGs
@@ -113,8 +132,8 @@ def _tls_config(rng, pki, label: bytes, *, client: bool) -> TLSConfig:
     return TLSConfig(rng=rng.fork(label), credential=pki.credential("server"))
 
 
-def _build_tls(pki, rng, seed) -> _Parties:
-    return _Parties(
+def _build_tls(pki, rng, seed) -> Parties:
+    return Parties(
         left=TLSClientEngine(_tls_config(rng, pki, b"cli", client=True)),
         middles=[],
         right=TLSServerEngine(_tls_config(rng, pki, b"srv", client=False)),
@@ -139,14 +158,14 @@ def _mbtls_endpoints(pki, rng):
     return client, server
 
 
-def _build_mbtls(pki, rng, seed) -> _Parties:
+def _build_mbtls(pki, rng, seed) -> Parties:
     client, server = _mbtls_endpoints(pki, rng)
-    return _Parties(left=client, middles=[], right=server)
+    return Parties(left=client, middles=[], right=server)
 
 
-def _build_mctls(pki, rng, seed) -> _Parties:
+def _build_mctls(pki, rng, seed) -> Parties:
     session = McTLSSession(rng.fork(b"c"), rng.fork(b"s"), [1])
-    return _Parties(
+    return Parties(
         left=McTLSRecordConnection(session.endpoint_party(), default_context=1),
         middles=[],
         right=McTLSRecordConnection(session.endpoint_party(), default_context=1),
@@ -154,9 +173,9 @@ def _build_mctls(pki, rng, seed) -> _Parties:
     )
 
 
-def _build_blindbox(pki, rng, seed) -> _Parties:
+def _build_blindbox(pki, rng, seed) -> Parties:
     key = rng.fork(b"tok").random_bytes(32)
-    return _Parties(
+    return Parties(
         left=BlindBoxStreamConnection(TokenStream(key)),
         middles=[],
         right=BlindBoxStreamConnection(TokenStream(key)),
@@ -164,7 +183,7 @@ def _build_blindbox(pki, rng, seed) -> _Parties:
     )
 
 
-def _build_mbtls_middlebox(pki, rng, seed) -> _Parties:
+def _build_mbtls_middlebox(pki, rng, seed) -> Parties:
     client, server = _mbtls_endpoints(pki, rng)
     middlebox = MbTLSMiddlebox(
         MiddleboxConfig(
@@ -176,7 +195,7 @@ def _build_mbtls_middlebox(pki, rng, seed) -> _Parties:
         ),
         destination="server",
     )
-    return _Parties(left=client, middles=[middlebox], right=server)
+    return Parties(left=client, middles=[middlebox], right=server)
 
 
 # The interception CA's serial counter advances on every issue, so the
@@ -194,7 +213,7 @@ def _fabricated_credential(seed: bytes, pki: Pki):
     return _FAB_CACHE[seed]
 
 
-def _build_split_tls(pki, rng, seed) -> _Parties:
+def _build_split_tls(pki, rng, seed) -> Parties:
     middlebox = SplitTLSMiddlebox(
         pki.ca,
         "server",
@@ -202,22 +221,22 @@ def _build_split_tls(pki, rng, seed) -> _Parties:
         upstream_trust=pki.trust,
         fabricated_credential=_fabricated_credential(seed, pki),
     )
-    return _Parties(
+    return Parties(
         left=TLSClientEngine(_tls_config(rng, pki, b"cli", client=True)),
         middles=[middlebox],
         right=TLSServerEngine(_tls_config(rng, pki, b"srv", client=False)),
     )
 
 
-def _build_splice_relay(pki, rng, seed) -> _Parties:
-    return _Parties(
+def _build_splice_relay(pki, rng, seed) -> Parties:
+    return Parties(
         left=TLSClientEngine(_tls_config(rng, pki, b"cli", client=True)),
         middles=[SpliceRelay()],
         right=TLSServerEngine(_tls_config(rng, pki, b"srv", client=False)),
     )
 
 
-def _build_shared_key(pki, rng, seed) -> _Parties:
+def _build_shared_key(pki, rng, seed) -> Parties:
     client = TLSClientEngine(_tls_config(rng, pki, b"cli", client=True))
     server = TLSServerEngine(_tls_config(rng, pki, b"srv", client=False))
     middlebox = KeySharingMiddlebox()
@@ -227,7 +246,7 @@ def _build_shared_key(pki, rng, seed) -> _Parties:
             suite, key_block = client.export_key_block()
             middlebox.install_keys(suite.code, key_block)
 
-    return _Parties(
+    return Parties(
         left=client,
         middles=[KeySharingConnection(middlebox)],
         right=server,
@@ -235,9 +254,9 @@ def _build_shared_key(pki, rng, seed) -> _Parties:
     )
 
 
-def _build_mctls_inspector(pki, rng, seed) -> _Parties:
+def _build_mctls_inspector(pki, rng, seed) -> Parties:
     session = McTLSSession(rng.fork(b"c"), rng.fork(b"s"), [1])
-    return _Parties(
+    return Parties(
         left=McTLSRecordConnection(session.endpoint_party(), default_context=1),
         middles=[
             McTLSMiddleboxConnection(
@@ -249,11 +268,11 @@ def _build_mctls_inspector(pki, rng, seed) -> _Parties:
     )
 
 
-def _build_blindbox_inspector(pki, rng, seed) -> _Parties:
+def _build_blindbox_inspector(pki, rng, seed) -> Parties:
     key = rng.fork(b"tok").random_bytes(32)
     authority = RuleAuthority(key)
     detector = BlindBoxDetector([authority.encrypt_rule("rule", b"suspicious")])
-    return _Parties(
+    return Parties(
         left=BlindBoxStreamConnection(TokenStream(key)),
         middles=[BlindBoxInspectorConnection(detector)],
         right=BlindBoxStreamConnection(TokenStream(key)),
@@ -271,18 +290,18 @@ def _mdtls_deployment(pki, rng, middleboxes=()) -> MdTLSDeployment:
     )
 
 
-def _build_mdtls(pki, rng, seed) -> _Parties:
+def _build_mdtls(pki, rng, seed) -> Parties:
     deployment = _mdtls_deployment(pki, rng)
-    return _Parties(
+    return Parties(
         left=deployment.build_client(),
         middles=[],
         right=deployment.build_server(),
     )
 
 
-def _build_mdtls_middlebox(pki, rng, seed) -> _Parties:
+def _build_mdtls_middlebox(pki, rng, seed) -> Parties:
     deployment = _mdtls_deployment(pki, rng, middleboxes=("mbox",))
-    return _Parties(
+    return Parties(
         left=deployment.build_client(),
         middles=[deployment.build_middlebox(0)],
         right=deployment.build_server(),
@@ -307,7 +326,7 @@ _BUILDERS = {
 CASE_NAMES = tuple(_BUILDERS)
 
 
-def build_parties(name: str, seed: bytes) -> _Parties:
+def build_parties(name: str, seed: bytes) -> Parties:
     """Build the party chain for one implementation, deterministically."""
     rng = HmacDrbg(seed, personalization=b"fuzz-parties")
     return _BUILDERS[name](_pki(seed), rng, seed)
@@ -334,20 +353,28 @@ class FuzzReport:
         return f"{self.name} {self.case.describe()} kind={self.kind}: {status}"
 
 
-class _Run:
-    """One mutated session: the pump, the ledger, and the verdict."""
+class SessionRun:
+    """One in-memory session walked over :func:`repro.io.chain_links`.
 
-    def __init__(self, name: str, parties: _Parties, mutator) -> None:
-        self.name = name
+    Every party step is guarded (a non-:class:`~repro.errors.ReproError`
+    escaping it lands in :attr:`leaked`), every delivered byte and event is
+    folded into :attr:`hash`, and every drained flight passes through
+    ``tap(link, data)``, which returns the bytes to deliver (empty to drop
+    them). :attr:`quiesced` turns false once any pump of the run hits
+    :data:`PUMP_ROUNDS`.
+    """
+
+    def __init__(self, parties: Parties, tap=None) -> None:
         self.parties = parties
-        self.mutator = mutator
-        self.failures: list[str] = []
+        self.tap = tap
+        self.links = chain_links(parties.left, parties.middles, parties.right)
         self.events: list[tuple[str, object]] = []
+        self.leaked: list[str] = []
+        self.quiesced = True
+        self.established = False  # sampled before the close; CLOSED wipes it
         self.hash = hashlib.sha256()
 
-    # ------------------------------------------------------------- plumbing
-
-    def _guard(self, party_name: str, fn, *args):
+    def guard(self, party_name: str, fn, *args):
         """Run one party step; a non-ReproError escaping it is a finding."""
         try:
             return fn(*args)
@@ -356,142 +383,117 @@ class _Run:
             # ReproError is still a *typed* refusal, not a crash.
             return []
         except Exception as exc:  # noqa: BLE001 - the invariant under test
-            self.failures.append(
-                f"{party_name} leaked {type(exc).__name__}: {exc}"
-            )
+            self.leaked.append(f"{party_name} leaked {type(exc).__name__}: {exc}")
             return []
 
-    def _record(self, party_name: str, events) -> None:
-        for event in events or []:
-            self.events.append((party_name, event))
-            self.hash.update(party_name.encode() + type(event).__name__.encode())
+    def step(self) -> bool:
+        """One round over every link; True iff any party had bytes to send."""
+        progressed = False
+        for link in self.links:
+            data = link.drain()
+            if not data:
+                continue
+            progressed = True
+            if self.tap is not None:
+                data = self.tap(link, data)
+            if data:
+                self.hash.update(link.tag + len(data).to_bytes(4, "big") + data)
+                for event in self.guard(link.sink, link.deliver, data) or ():
+                    self.events.append((link.sink, event))
+                    self.hash.update(link.sink.encode() + type(event).__name__.encode())
+        return progressed
 
-    def _deliver(self, tag: bytes, data: bytes) -> None:
-        self.hash.update(tag + len(data).to_bytes(4, "big") + data)
-
-    def pump(self) -> None:
-        """pump_chain with the mutator tapped into the c2s first hop."""
-        left, middles, right = (
-            self.parties.left,
-            self.parties.middles,
-            self.parties.right,
-        )
-        for _ in range(_PUMP_ROUNDS):
-            progressed = False
-            data = left.data_to_send()
-            if data:
-                progressed = True
-                data = self.mutator.process_chunk(data) or b""
-            if data:
-                self._deliver(b"c>", data)
-                target = middles[0].receive_down if middles else right.receive_bytes
-                target_name = "middle0" if middles else "right"
-                self._record(target_name, self._guard(target_name, target, data))
-            for index, middle in enumerate(middles):
-                data = middle.data_to_send_up()
-                if data:
-                    progressed = True
-                    self._deliver(b"m>", data)
-                    if index + 1 < len(middles):
-                        nxt, nxt_name = (
-                            middles[index + 1].receive_down,
-                            f"middle{index + 1}",
-                        )
-                    else:
-                        nxt, nxt_name = right.receive_bytes, "right"
-                    self._record(nxt_name, self._guard(nxt_name, nxt, data))
-            data = right.data_to_send()
-            if data:
-                progressed = True
-                self._deliver(b"s>", data)
-                target = middles[-1].receive_up if middles else left.receive_bytes
-                target_name = f"middle{len(middles) - 1}" if middles else "left"
-                self._record(target_name, self._guard(target_name, target, data))
-            for index in range(len(middles) - 1, -1, -1):
-                data = middles[index].data_to_send_down()
-                if data:
-                    progressed = True
-                    self._deliver(b"m<", data)
-                    if index > 0:
-                        nxt, nxt_name = middles[index - 1].receive_up, f"middle{index - 1}"
-                    else:
-                        nxt, nxt_name = left.receive_bytes, "left"
-                    self._record(nxt_name, self._guard(nxt_name, nxt, data))
-            if not progressed:
+    def pump(self, until=None) -> None:
+        """Step until no party has bytes to send or ``until()`` holds."""
+        for _ in range(PUMP_ROUNDS):
+            if not self.step() or (until is not None and until()):
                 return
-        self.failures.append(f"pump did not quiesce within {_PUMP_ROUNDS} rounds")
+        self.quiesced = False
 
-    def send(self, party_name: str, party, data: bytes) -> None:
+    def start(self) -> None:
+        for party_name, party in self.parties.named():
+            self.guard(party_name, party.start)
+
+    def both_established(self) -> bool:
+        if not self.parties.needs_handshake:
+            return True
+        return all(
+            getattr(party, "established", False)
+            or getattr(party, "handshake_complete", False)
+            for party in (self.parties.left, self.parties.right)
+        )
+
+    def send(self, side: str, data: bytes) -> None:
+        party = getattr(self.parties, side)
         if getattr(party, "closed", False):
             return
-        self._guard(party_name, party.send_application_data, data)
+        self.guard(side, party.send_application_data, data)
         self.pump()
 
-    def close(self, party_name: str, party) -> None:
-        self._guard(party_name, party.close)
+    def close(self, side: str) -> None:
+        self.guard(side, getattr(self.parties, side).close)
         self.pump()
 
-    # -------------------------------------------------------------- verdict
+    def play(self, c2s, s2c) -> None:
+        """The harness script: handshake; if both ends are established send
+        the ``c2s`` then the ``s2c`` payloads; close the client, then the
+        server."""
+        self.start()
+        self.pump()
+        if self.parties.after_handshake is not None:
+            self.guard("harness", self.parties.after_handshake)
+        self.established = self.both_established()
+        if self.established:
+            for payload in c2s:
+                self.send("left", payload)
+            for payload in s2c:
+                self.send("right", payload)
+        self.close("left")
+        self.close("right")
 
-    def check_invariants(self) -> None:
-        if self.name not in UNAUTHENTICATED_CASES:
-            allowed = set(_C2S_PAYLOADS) | set(_S2C_PAYLOADS)
-            for party_name, event in self.events:
-                if party_name not in ("left", "right"):
-                    continue
-                if isinstance(event, ApplicationData) and event.data not in allowed:
-                    self.failures.append(
-                        f"{party_name} delivered tampered plaintext "
-                        f"{event.data[:32]!r}"
-                    )
-        for party_name, party in (
-            ("left", self.parties.left),
-            ("right", self.parties.right),
-        ):
-            if not getattr(party, "closed", False):
-                self.failures.append(f"{party_name} left half-open")
-
-    def digest(self) -> str:
-        self.hash.update(b"|".join(f.encode() for f in self.failures))
+    def digest(self, failures) -> str:
+        self.hash.update(b"|".join(f.encode() for f in failures))
         return self.hash.hexdigest()
+
+
+def _failures(name: str, run: SessionRun) -> list[str]:
+    """The abort invariant, checked over one finished run."""
+    failures = list(run.leaked)
+    if not run.quiesced:
+        failures.append(f"pump did not quiesce within {PUMP_ROUNDS} rounds")
+    if name not in UNAUTHENTICATED_CASES:
+        allowed = set(_C2S_PAYLOADS) | set(_S2C_PAYLOADS)
+        failures += [
+            f"{who} delivered tampered plaintext {event.data[:32]!r}"
+            for who, event in run.events
+            if who in ("left", "right")
+            and isinstance(event, ApplicationData)
+            and event.data not in allowed
+        ]
+    for party_name in ("left", "right"):
+        if not getattr(getattr(run.parties, party_name), "closed", False):
+            failures.append(f"{party_name} left half-open")
+    return failures
 
 
 def run_case(name: str, case: FuzzCase) -> FuzzReport:
     """Run one implementation through one mutated session."""
-    parties = build_parties(name, case.seed)
     mutator = case.mutator()
-    run = _Run(name, parties, mutator)
 
-    for party_name, party in (
-        ("left", parties.left),
-        *((f"middle{i}", m) for i, m in enumerate(parties.middles)),
-        ("right", parties.right),
-    ):
-        run._guard(party_name, party.start)
-    run.pump()
-    if parties.after_handshake is not None:
-        run._guard("harness", parties.after_handshake)
+    def mutate(link, data):
+        if link.at("c2s", "left"):
+            return mutator.process_chunk(data) or b""
+        return data
 
-    established = (
-        not parties.needs_handshake
-        or getattr(parties.left, "established", False)
-        or getattr(parties.left, "handshake_complete", False)
-    )
-    if established:
-        for payload in _C2S_PAYLOADS:
-            run.send("left", parties.left, payload)
-        for payload in _S2C_PAYLOADS:
-            run.send("right", parties.right, payload)
-    run.close("left", parties.left)
-    run.close("right", parties.right)
-    run.check_invariants()
-
+    run = SessionRun(build_parties(name, case.seed), mutate)
+    run.play(_C2S_PAYLOADS, _S2C_PAYLOADS)
+    failures = _failures(name, run)
     return FuzzReport(
         name=name,
         case=case,
         kind=mutator.kind,
-        failures=tuple(run.failures),
-        digest=run.digest(),
+        failures=tuple(failures),
+        digest=run.digest(failures),
         mutations=tuple(mutator.applied),
         events=tuple(
             f"{who}:{type(event).__name__}" for who, event in run.events

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.baselines.shared_key import KeySharingService
+from repro.bench.fuzzing import Parties, SessionRun
 from repro.core.config import (
     MbTLSEndpointConfig,
     MiddleboxConfig,
@@ -730,25 +731,16 @@ def _mdtls_chain(seed: bytes, now: float = 0.0):
     )
 
 
-def _pump_mdtls(client, mbox, server, rewrite_c2s=None, rewrite_s2c=None):
-    """Drive the trio to quiescence, optionally rewriting each direction."""
-    client.start(), mbox.start(), server.start()
-    for _ in range(16):
-        progressed = False
-        for data, deliver, rewrite in (
-            (client.data_to_send(), mbox.receive_down, rewrite_c2s),
-            (mbox.data_to_send_up(), server.receive_bytes, None),
-            (server.data_to_send(), mbox.receive_up, None),
-            (mbox.data_to_send_down(), client.receive_bytes, rewrite_s2c),
-        ):
-            if data:
-                progressed = True
-                try:
-                    deliver(rewrite(data) if rewrite else data)
-                except Exception:  # noqa: BLE001 - outcome read off .abort
-                    pass
-        if not progressed:
-            break
+def _handshake_mdtls(client, mbox, server, direction: str, rewrite) -> None:
+    """Run the trio's handshake in memory, passing every flight that
+    crosses the client edge in ``direction`` through ``rewrite``."""
+
+    def tap(link, data):
+        return rewrite(data) if link.at(direction, "left") else data
+
+    run = SessionRun(Parties(client, [mbox], server), tap)
+    run.start()
+    run.pump()
 
 
 def _rewrite_first_hello(data: bytes, rewrite_warrant):
@@ -852,9 +844,9 @@ def mdtls_expired_warrant() -> ThreatOutcome:
             stale, signature=creds["client"].private_key.sign(stale.tbs_bytes())
         )
 
-    _pump_mdtls(
-        client, mbox, server,
-        rewrite_c2s=lambda data: _rewrite_first_hello(data, expire),
+    _handshake_mdtls(
+        client, mbox, server, "c2s",
+        lambda data: _rewrite_first_hello(data, expire),
     )
     aborted = [
         party.abort for party in (mbox, server, client) if party.abort is not None
@@ -875,9 +867,9 @@ def mdtls_unwarranted_proxy_signature() -> ThreatOutcome:
     from repro.crypto.rsa import generate_rsa_key
 
     rogue = generate_rsa_key(1024, rng)
-    _pump_mdtls(
-        client, mbox, server,
-        rewrite_s2c=lambda data: _rewrite_proxy_signatures(
+    _handshake_mdtls(
+        client, mbox, server, "s2c",
+        lambda data: _rewrite_proxy_signatures(
             data, lambda sig: rogue.sign(b"rogue attestation of " + sig.middlebox.encode())
         ),
     )
@@ -904,9 +896,9 @@ def mdtls_truncated_transcript_signature() -> ThreatOutcome:
     deployment, client, mbox, server, creds = _mdtls_chain(b"md-t3")
     truncated = hashlib.sha256(b"prefix of the real transcript").digest()
     mbox_key = creds["mbox"].private_key
-    _pump_mdtls(
-        client, mbox, server,
-        rewrite_s2c=lambda data: _rewrite_proxy_signatures(
+    _handshake_mdtls(
+        client, mbox, server, "s2c",
+        lambda data: _rewrite_proxy_signatures(
             data,
             lambda sig: mbox_key.sign(
                 ProxySignature.signed_payload(sig.direction, truncated)

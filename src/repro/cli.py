@@ -144,6 +144,8 @@ def _cmd_sgx(args) -> None:
 
 
 def _cmd_fuzz(args) -> None:
+    import hashlib
+
     from repro.bench.fuzzing import CASE_NAMES, run_case, smoke_corpus
     from repro.netsim.fuzz import MUTATION_KINDS, FuzzCase
 
@@ -171,6 +173,8 @@ def _cmd_fuzz(args) -> None:
     reports = smoke_corpus()
     failures = [r for r in reports if not r.ok]
     print(f"{len(reports) - len(failures)}/{len(reports)} cases ok")
+    digest = hashlib.sha256("".join(r.digest for r in reports).encode())
+    print(f"corpus digest {digest.hexdigest()[:16]}")
     if failures:
         print("failing (seed, mutation_index) pairs, replay with "
               "`python -m repro fuzz --replay NAME --seed SEED --index N`:")

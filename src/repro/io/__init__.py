@@ -7,8 +7,10 @@ protocol engines (``repro.tls``, ``repro.core``, ``repro.baselines``):
   party implements (see ``tests/test_connection_contract.py``);
 * :class:`RecordPlane` — framing, AEAD protection, sequence state, and
   coalesced outbox buffering, owned once instead of per-engine;
-* :func:`pump` / :func:`pump_chain` / :class:`DuplexPump` — the only
-  quiescence-loop implementations in the tree.
+* :func:`chain_links` — the hops of an in-memory chain in visit order, which
+  every in-memory walk loops over; :func:`pump` / :func:`pump_chain` /
+  :class:`DuplexPump` — the only quiescence-loop implementations in the
+  tree.
 """
 
 from repro.io.connection import (
@@ -16,6 +18,8 @@ from repro.io.connection import (
     Connection,
     DuplexConnection,
     DuplexPump,
+    Link,
+    chain_links,
     flush_connection,
     pump,
     pump_chain,
@@ -40,8 +44,10 @@ __all__ = [
     "Connection",
     "DuplexConnection",
     "DuplexPump",
+    "Link",
     "RecordPlane",
     "alert_frame",
+    "chain_links",
     "close_frame",
     "flush_connection",
     "frame",

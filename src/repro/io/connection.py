@@ -23,22 +23,27 @@ The contract (enforced by ``tests/test_connection_contract.py``):
   :class:`~repro.errors.ProtocolError` instead of silently queueing.
 * the same DRBG seed yields a byte-identical wire transcript.
 
-This module also owns the *only* pump implementations in the tree:
-:func:`pump` (two directly connected endpoints), :func:`pump_chain`
-(endpoint - duplex elements - endpoint, all in memory), and
-:class:`DuplexPump` (drain a duplex element's outboxes into two
-transports). Drivers and tests must use these instead of hand-rolling
-quiescence loops.
+This module also owns the order in which bytes cross an in-memory chain:
+:func:`chain_links` lists its hops (:class:`Link`) in visit order, and every
+in-memory walk in the tree loops over those links — :func:`pump_chain`
+(endpoint - duplex elements - endpoint), :func:`pump` (two directly
+connected endpoints, the chain with no middle) and the guarded, hashed
+harness run :class:`repro.bench.fuzzing.SessionRun` that fuzz, selftest,
+the chain benchmark and the mdTLS threat rows share. :class:`DuplexPump`
+drains a duplex element's outboxes into two transports. Drivers and tests
+must use these instead of hand-rolling quiescence loops.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
 __all__ = [
     "Connection",
     "DuplexConnection",
     "DuplexPump",
+    "Link",
+    "chain_links",
     "flush_connection",
     "pump",
     "pump_chain",
@@ -110,28 +115,81 @@ class DuplexConnection(Protocol):
         ...
 
 
+class Link(NamedTuple):
+    """One hop of an in-memory chain: where bytes leave and where they land.
+
+    ``tag`` names the hop on the wire (``c>`` leaves the client, ``m>`` and
+    ``m<`` leave a middle element, ``s>`` leaves the server); ``sink`` names
+    the party that receives (``left``, ``middle{i}``, ``right``). A hop
+    that leaves the client or enters it touches the client edge; likewise
+    for the server. With no middle element each direction's one hop
+    touches both edges.
+    """
+
+    direction: str  # "c2s" or "s2c"
+    tag: bytes
+    drain: Callable[[], bytes]
+    deliver: Callable[[bytes], list]
+    sink: str
+    client_edge: bool
+    server_edge: bool
+
+    def at(self, direction: str, edge: str) -> bool:
+        """True iff this hop runs ``direction`` and touches ``edge``
+        (``"left"``, the client edge, or ``"right"``, the server edge)."""
+        touches = self.client_edge if edge == "left" else self.server_edge
+        return self.direction == direction and touches
+
+
+def chain_links(
+    left: Connection, middles: DuplexConnection | list, right: Connection
+) -> list[Link]:
+    """The hops of ``left - [duplex elements] - right`` in pump visit order.
+
+    ``middles`` is one duplex element or a list ordered client-to-server.
+    A round visits the client-to-server hops from the client on, then the
+    server-to-client hops from the server on.
+    """
+    if not isinstance(middles, (list, tuple)):
+        middles = [middles]
+    last = len(middles)
+    names = ["left", *(f"middle{i}" for i in range(last)), "right"]
+    hops = [left, *middles, right]
+    links = []
+    for i in range(last + 1):
+        src, dst = hops[i], hops[i + 1]
+        links.append(Link(
+            "c2s",
+            b"c>" if i == 0 else b"m>",
+            src.data_to_send if i == 0 else src.data_to_send_up,
+            dst.receive_bytes if i == last else dst.receive_down,
+            names[i + 1],
+            client_edge=i == 0,
+            server_edge=i == last,
+        ))
+    for i in range(last + 1, 0, -1):
+        src, dst = hops[i], hops[i - 1]
+        links.append(Link(
+            "s2c",
+            b"s>" if i == last + 1 else b"m<",
+            src.data_to_send if i == last + 1 else src.data_to_send_down,
+            dst.receive_bytes if i == 1 else dst.receive_up,
+            names[i - 1],
+            client_edge=i == 1,
+            server_edge=i == last + 1,
+        ))
+    return links
+
+
 def pump(
     a: Connection, b: Connection, rounds: int = DEFAULT_PUMP_ROUNDS
 ) -> tuple[list, list]:
     """Drive two directly connected connections to quiescence.
 
-    Alternates ``a -> b`` then ``b -> a`` until neither side produced
-    output. Returns ``(a_events, b_events)``.
+    The chain with no middle element: ``a -> b`` then ``b -> a`` until
+    neither side produced output. Returns ``(a_events, b_events)``.
     """
-    a_events: list = []
-    b_events: list = []
-    for _ in range(rounds):
-        progressed = False
-        data = a.data_to_send()
-        if data:
-            b_events += b.receive_bytes(data)
-            progressed = True
-        data = b.data_to_send()
-        if data:
-            a_events += a.receive_bytes(data)
-            progressed = True
-        if not progressed:
-            break
+    a_events, _, b_events = pump_chain(a, [], b, rounds)
     return a_events, b_events
 
 
@@ -147,33 +205,18 @@ def pump_chain(
     Returns ``(left_events, middle_events, right_events)`` with the middle
     events flattened across elements.
     """
-    if not isinstance(middles, (list, tuple)):
-        middles = [middles]
     left_events: list = []
     middle_events: list = []
     right_events: list = []
+    sinks = {"left": left_events, "right": right_events}
+    links = chain_links(left, middles, right)
     for _ in range(rounds):
         progressed = False
-        # Client-to-server sweep.
-        data = left.data_to_send()
-        for middle in middles:
+        for link in links:
+            data = link.drain()
             if data:
-                middle_events += middle.receive_down(data)
+                sinks.get(link.sink, middle_events).extend(link.deliver(data))
                 progressed = True
-            data = middle.data_to_send_up()
-        if data:
-            right_events += right.receive_bytes(data)
-            progressed = True
-        # Server-to-client sweep.
-        data = right.data_to_send()
-        for middle in reversed(middles):
-            if data:
-                middle_events += middle.receive_up(data)
-                progressed = True
-            data = middle.data_to_send_down()
-        if data:
-            left_events += left.receive_bytes(data)
-            progressed = True
         if not progressed:
             break
     return left_events, middle_events, right_events

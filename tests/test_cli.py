@@ -42,6 +42,13 @@ class TestCli:
         ]) == 0
         assert "kind=bit_flip: ok" in capsys.readouterr().out
 
+    def test_fuzz_smoke_prints_the_pinned_corpus_digest(self, capsys):
+        assert main(["fuzz"]) == 0
+        out = capsys.readouterr().out
+        assert "48/48 cases ok" in out
+        # The first 16 hex digits of the digest test_fuzz_conformance pins.
+        assert "corpus digest 7dee67e7d228244a" in out
+
     def test_selftest_quick_scorecard(self, capsys):
         assert main(["selftest", "--quick", "--impl", "tls"]) == 0
         out = capsys.readouterr().out

@@ -716,14 +716,23 @@ def _flip_tag(wire: bytes, index: int) -> bytes:
     return wire[: end - 1] + bytes([wire[end - 1] ^ 0x01]) + wire[end:]
 
 
+def _path(client, middles, server, direction):
+    """(sender, hops) along ``client - middles - server`` in ``direction``:
+    each middle element, then the far endpoint."""
+    if direction == "c2s":
+        hops = [(m.receive_down, m.data_to_send_up, m.data_to_send_down) for m in middles]
+        return client, hops + [(server.receive_bytes, None, server.data_to_send)]
+    hops = [(m.receive_up, m.data_to_send_down, m.data_to_send_up) for m in middles[::-1]]
+    return server, hops + [(client.receive_bytes, None, client.data_to_send)]
+
+
 def _segmentation_pair(factory, pki, direction):
     """(sender, hops) for an endpoint pair: one hop, the receiving end."""
     client, server = factory(pki, HmacDrbg(b"segmentation"))
     client.start()
     server.start()
     pump(client, server)
-    sender, receiver = (client, server) if direction == "c2s" else (server, client)
-    return sender, [(receiver.receive_bytes, None, receiver.data_to_send)]
+    return _path(client, [], server, direction)
 
 
 def _mbtls_chain_parties(pki, rng, tamper_policy):
@@ -767,17 +776,7 @@ def _segmentation_chain(build, pki, direction):
         party.start()
     pump_chain(client, middlebox, server)
     assert client.established and server.established
-    if direction == "c2s":
-        return client, [
-            (middlebox.receive_down, middlebox.data_to_send_up,
-             middlebox.data_to_send_down),
-            (server.receive_bytes, None, server.data_to_send),
-        ]
-    return server, [
-        (middlebox.receive_up, middlebox.data_to_send_down,
-         middlebox.data_to_send_up),
-        (client.receive_bytes, None, client.data_to_send),
-    ]
+    return _path(client, [middlebox], server, direction)
 
 
 # Each case: (pki, direction) -> (sender, hops), handshake done. A hop is
@@ -796,17 +795,57 @@ SEGMENTATION_CASES = {
 }
 
 
+def _framed_path(protocol, middles, pki, direction):
+    """(sender, hops) for a framed baseline: no handshake, and the flight is
+    length frames, not TLS records."""
+    rng = HmacDrbg(b"segmentation")
+    if protocol == "mctls":
+        session = McTLSSession(rng.fork(b"c"), rng.fork(b"s"), [1])
+        client, server = (
+            McTLSRecordConnection(session.endpoint_party(), default_context=1)
+            for _ in "cs"
+        )
+        boxes = [
+            McTLSMiddleboxConnection(
+                session.middlebox_party({1: ContextPermission.READ})
+            )
+        ]
+    else:
+        key = rng.fork(b"tok").random_bytes(32)
+        client, server = (BlindBoxStreamConnection(TokenStream(key)) for _ in "cs")
+        rule = RuleAuthority(key).encrypt_rule("rule", b"suspicious")
+        boxes = [BlindBoxInspectorConnection(BlindBoxDetector([rule]))]
+    boxes = boxes[:middles]
+    for party in (client, *boxes, server):
+        party.start()
+    return _path(client, boxes, server, direction)
+
+
+# The framed baselines (mcTLS, BlindBox), endpoint pairs and one-inspector
+# chains: segmentation cases without a per-record or forged-tag leg.
+FRAMED_SEGMENTATION_CASES = {
+    "mctls": partial(_framed_path, "mctls", 0),
+    "blindbox": partial(_framed_path, "blindbox", 0),
+    "mctls_inspector": partial(_framed_path, "mctls", 1),
+    "blindbox_inspector": partial(_framed_path, "blindbox", 1),
+}
+
+
 def _deliver_flight(case, direction, pki, tampered: bool, delivery: str):
     """Send the four-write flight along one case's path, segmented one way.
 
     Returns per hop the events it emitted, the bytes it forwarded to the
     next hop, and the bytes it wrote back toward the sender.
     """
-    sender, hops = SEGMENTATION_CASES[case](pki, direction)
+    if case in FRAMED_SEGMENTATION_CASES:
+        sender, hops = FRAMED_SEGMENTATION_CASES[case](pki, direction)
+    else:
+        sender, hops = SEGMENTATION_CASES[case](pki, direction)
     for data in _FLIGHT_WRITES:
         sender.send_application_data(data)
     wire = sender.data_to_send()
-    assert len(_record_spans(wire)) == len(_FLIGHT_WRITES)
+    if case in SEGMENTATION_CASES:
+        assert len(_record_spans(wire)) == len(_FLIGHT_WRITES)
     if tampered:
         wire = _flip_tag(wire, _TAMPERED_RECORD)
     observed = []
@@ -843,6 +882,21 @@ def test_flight_outcome_is_independent_of_segmentation(pki, case, direction, tam
         assert _FLIGHT_WRITES[_TAMPERED_RECORD] not in delivered
     else:
         assert delivered == list(_FLIGHT_WRITES)
+
+
+@pytest.mark.parametrize("direction", ("c2s", "s2c"))
+@pytest.mark.parametrize("case", FRAMED_SEGMENTATION_CASES)
+def test_framed_flight_outcome_is_independent_of_segmentation(pki, case, direction):
+    """A framed flight delivered in one call or one byte per call yields the
+    same events and the same output bytes at every hop, and every write
+    arrives in order."""
+    one_call = _deliver_flight(case, direction, pki, False, "one_call")
+    assert _deliver_flight(case, direction, pki, False, "per_byte") == one_call
+    for _, forwarded, _ in one_call[:-1]:
+        assert forwarded  # every middle element passed the flight on
+    far_events = one_call[-1][0]
+    delivered = [event.data for event in far_events if isinstance(event, ApplicationData)]
+    assert delivered == list(_FLIGHT_WRITES)
 
 
 def _queue_after_close(sender, data: bytes) -> None:

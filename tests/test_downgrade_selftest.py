@@ -356,6 +356,13 @@ class TestSelftestScoring:
             "c87f2c016986cf6c808b8505458c790e0833d4d35a91dbbcd59f6c1c0ddb76da"
         )
 
+    def test_full_report_digest_is_pinned(self):
+        """Both seeds over all twelve implementations: every verdict and
+        every attacked transcript the gauntlet scores, pinned."""
+        assert run_selftest().digest() == (
+            "c3f7330c9245c0e4aef0298c7f3921a0987434511f6f90c9aff397e4429ff6ed"
+        )
+
     def test_report_json_is_serializable(self):
         report = run_selftest(impls=("tls",), seeds=(b"st-0",))
         payload = json.loads(json.dumps(report.to_json()))

@@ -27,6 +27,7 @@ from repro.bench.fuzzing import (
     _pki,
     build_parties,
     run_case,
+    run_corpus,
     smoke_corpus,
 )
 from repro.netsim.fuzz import MUTATION_KINDS, ChunkMutator, FuzzCase, FuzzTap
@@ -132,6 +133,16 @@ def test_smoke_corpus_digest_is_pinned():
         "".join(report.digest for report in smoke_corpus()).encode()
     ).hexdigest()
     assert digest == "7dee67e7d228244a6f10dd8de75d767b4c8f1b71f6579b691f12a6280367fe84"
+
+
+def test_full_corpus_digest_is_pinned():
+    """The whole conformance sweep (12 implementations x 8 kinds x 5 seeds
+    x 2 mutation indices) replays bit for bit: a changed pump order, round
+    bound or harness script anywhere moves this digest."""
+    digest = hashlib.sha256(
+        "".join(report.digest for report in run_corpus()).encode()
+    ).hexdigest()
+    assert digest == "6566702e402582ea8fd0b9d8d7f543380b449f52dd943440d565d7fbc185b60c"
 
 
 def test_builders_issue_no_certificate_after_the_pki_is_made():
