@@ -9,32 +9,30 @@ fragmentation, in-place header encode) and pays a single ``bytes()`` copy
 per drained flight.
 
 The measurement itself lives in :mod:`repro.bench.record_plane` (shared
-with ``python -m repro bench``); this test runs it, writes
-``BENCH_record_plane.json``, and pins the structural win (strictly fewer
-bytes copied) plus wire equality of the two paths.
+with ``python -m repro bench``, the one writer of the committed
+``BENCH_record_plane.json``); this test runs it, writes the report to a
+temporary directory, and pins the structural win (strictly fewer bytes
+copied) plus wire equality of the two paths.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from conftest import emit
 
 from repro.bench.record_plane import PAYLOAD_BYTES, legacy_drain, plane_drain, run
 from repro.io.record_plane import RecordPlane
 
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_record_plane.json"
 
-
-def test_record_plane_throughput():
+def test_record_plane_throughput(tmp_path):
     report = run()
 
     # Wire equality: the coalesced path is a pure representation change.
     payload = bytes(range(256)) * (PAYLOAD_BYTES // 256)
     assert legacy_drain(payload)[0] == plane_drain(RecordPlane(), payload)[0]
 
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    (tmp_path / "BENCH_record_plane.json").write_text(json.dumps(report, indent=2) + "\n")
 
     legacy = report["legacy"]
     plane = report["record_plane"]

@@ -18,14 +18,19 @@ primary handshake then runs end to end **once**:
 * both endpoints verify the aggregate proxy-signature chain against the
   warranted keys before declaring the session established.
 
+The endpoints are the TLS 1.2 engines (:mod:`repro.tls.engine`) with
+:class:`_MdTLSEndpoint` mixed in: the engine runs the hellos, chain
+validation, the signed key exchange, the master secret, Finished, the
+receive walk and close/abort; this module adds only what 2306.03573 adds.
+
 The data plane is per-hop AEAD exactly like mbTLS: hop *i*'s keys are
 derived from ``hop_secret(i)`` and a middlebox re-encrypts between its
 client-side and server-side hops.
 
 Simplifications, recorded in DESIGN.md §15: no ChangeCipherSpec (the
-Finished flight travels in the clear, like our mcTLS reproduction), and
-warrants are issued out of band by the deployment rather than via an
-online enrollment protocol.
+Finished flight travels in the clear, like our mcTLS reproduction), X25519
+whatever the negotiated suite, and warrants are issued out of band by the
+deployment rather than via an online enrollment protocol.
 """
 
 from __future__ import annotations
@@ -34,35 +39,27 @@ import hashlib
 from functools import partial
 
 from repro.crypto.kdf import prf
-from repro.crypto.x25519 import x25519, x25519_base
 from repro.errors import CryptoError, ProtocolError, SessionAborted
 from repro.io import abort
 from repro.io.record_plane import RecordPlane
 from repro.pki.authority import Credential
 from repro.pki.store import TrustStore
-from repro.tls.ciphersuites import DEFAULT_SUITES, CipherSuite, suite_by_code
-from repro.tls.events import (
-    AlertReceived,
-    ApplicationData,
-    ConnectionClosed,
-    HandshakeComplete,
-)
-from repro.tls.keyschedule import derive_master_secret, finished_verify_data
+from repro.tls.ciphersuites import CipherSuite, suite_by_code
+from repro.tls.config import TLSConfig
+from repro.tls.engine import TLSClientEngine, TLSServerEngine
+from repro.tls.events import ConnectionClosed
+from repro.tls.keyschedule import derive_key_block
 from repro.tls.record_layer import ConnectionState
 from repro.wire.alerts import Alert
-from repro.wire.extensions import ExtensionType
+from repro.wire.extensions import Extension, ExtensionType
 from repro.wire.handshake import (
-    Certificate,
     ClientHello,
     ClientKeyExchange,
-    Finished,
     Handshake,
     HandshakeBuffer,
     HandshakeType,
     KexAlgorithm,
     ServerHello,
-    ServerHelloDone,
-    ServerKeyExchange,
 )
 from repro.wire.mdtls import (
     DelegationCertificate,
@@ -105,27 +102,60 @@ def hop_states(
     server_random: bytes,
 ) -> tuple[ConnectionState, ConnectionState]:
     """(client_write, server_write) record states for one hop."""
-    total = 2 * suite.key_length + 2 * suite.fixed_iv_length
-    block = prf(
-        hop_secret, _HOP_EXPANSION_LABEL, server_random + client_random, total
+    block = derive_key_block(
+        hop_secret, client_random, server_random, suite, label=_HOP_EXPANSION_LABEL
     )
-    offset = 0
-    client_key = block[offset : offset + suite.key_length]
-    offset += suite.key_length
-    server_key = block[offset : offset + suite.key_length]
-    offset += suite.key_length
-    client_iv = block[offset : offset + suite.fixed_iv_length]
-    offset += suite.fixed_iv_length
-    server_iv = block[offset : offset + suite.fixed_iv_length]
     return (
-        ConnectionState(suite, client_key, client_iv, sequence=0),
-        ConnectionState(suite, server_key, server_iv, sequence=0),
+        ConnectionState(suite, block.client_write_key, block.client_write_iv),
+        ConnectionState(suite, block.server_write_key, block.server_write_iv),
     )
 
 
 def _send_alert(plane: RecordPlane, alert: Alert) -> None:
     """Alerts always travel unprotected on the mdTLS alert plane."""
     plane.queue_encoded(Record(content_type=ContentType.ALERT, payload=alert.encode()))
+
+
+def _warrants(hello: ClientHello | ServerHello, sender: str):
+    """The warrant batch a hello carries; mdTLS is delegation-or-abort."""
+    extension = hello.find_extension(int(ExtensionType.DELEGATION_CERTIFICATE))
+    if extension is None:
+        # The in-band mdTLS signal is missing: the peer does not speak
+        # mdTLS or a downgrade box stripped the extension.
+        raise ProtocolError(
+            f"{sender} hello carries no delegation certificates",
+            alert="handshake_failure",
+        )
+    return DelegationCertificateExtension.from_extension(extension).warrants
+
+
+def _verify_proxy_chain(
+    signatures: list[ProxySignature],
+    expected: list[tuple[str, object]],
+    direction: int,
+    transcript_hash: bytes,
+) -> None:
+    """Every warranted middlebox signed ``transcript_hash`` exactly once."""
+    keys = dict(expected)
+    payload = ProxySignature.signed_payload(direction, transcript_hash)
+    for signature in signatures:
+        if signature.direction != direction:
+            raise ProtocolError(
+                "proxy signature for the other direction",
+                alert="unexpected_message",
+            )
+        key = keys.pop(signature.middlebox, None)
+        if key is None:
+            raise ProtocolError(
+                f"proxy signature from unwarranted or repeated "
+                f"{signature.middlebox!r}",
+                alert="handshake_failure",
+            )
+        if not key.verify(payload, signature.signature):
+            raise ProtocolError(
+                f"bad proxy signature from {signature.middlebox!r}",
+                alert="decrypt_error",
+            )
 
 
 class MdTLSDeployment:
@@ -216,138 +246,126 @@ class MdTLSDeployment:
 
 
 class _MdTLSEndpoint:
-    """State shared by both mdTLS endpoints: plane, transcript, aborts."""
+    """What 2306.03573 adds to a TLS 1.2 engine, for both endpoints.
 
-    origin_label = "mdtls-endpoint"
-
-    def __init__(self) -> None:
-        self._plane = RecordPlane()
-        self._handshake = HandshakeBuffer()
-        self._transcript = bytearray()
-        self.established = False
-        self.closed = False
-        self._started = False
-        self.abort: SessionAborted | None = None
-        self._states: tuple[ConnectionState, ConnectionState] | None = None
-
-    # -- shared Connection-contract plumbing ------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("mdTLS connection already started")
-        self._started = True
-        self._on_start()
-
-    def _on_start(self) -> None:  # pragma: no cover - endpoint hook
-        pass
-
-    def data_to_send(self) -> bytes:
-        return self._plane.data_to_send()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        _send_alert(self._plane, Alert.close_notify())
-
-    def peer_closed(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="transport closed")]
-
-    def _append_transcript(self, message: Handshake) -> None:
-        if message.msg_type != HandshakeType.MDTLS_PROXY_SIGNATURE:
-            self._transcript += message.encode()
-
-    def _transcript_hash(self) -> bytes:
-        return hashlib.sha256(bytes(self._transcript)).digest()
-
-    def _send_handshake(self, message) -> Handshake:
-        framed = Handshake(msg_type=message.msg_type, body=message.encode_body())
-        self._append_transcript(framed)
-        self._plane.queue_record(ContentType.HANDSHAKE, framed.encode())
-        return framed
-
-    def receive_bytes(self, data: bytes) -> list:
-        if self.closed:
-            return []
-        events: list = []
-        try:
-            plane = self._plane
-            plane.feed(data)
-            for record, plaintext in plane.open_flight(
-                plane.pop_records(), lambda: self.established
-            ):
-                if self.closed:
-                    break
-                if record.content_type == ContentType.ALERT:
-                    alert = Alert.decode(bytes(record.payload))
-                    events.append(AlertReceived(alert=alert))
-                    ended = abort.received(self, alert)
-                    if ended is not None:
-                        events.append(ended)
-                    continue
-                if record.content_type == ContentType.HANDSHAKE:
-                    if self.established:
-                        raise ProtocolError(
-                            "handshake record after establishment",
-                            alert="unexpected_message",
-                        )
-                    payload = record.payload
-                    self._handshake.feed(
-                        payload if isinstance(payload, bytes) else bytes(payload)
-                    )
-                    for message in self._handshake.pop_messages():
-                        self._handle_handshake(message, events)
-                        if self.closed:
-                            break
-                    continue
-                if record.content_type == ContentType.APPLICATION_DATA:
-                    if not self.established:
-                        raise ProtocolError(
-                            "application data before handshake completion",
-                            alert="unexpected_message",
-                        )
-                    if plaintext is None:
-                        plaintext = plane.unprotect(record)
-                    events.append(ApplicationData(data=plaintext))
-                    continue
-                raise ProtocolError(
-                    f"unexpected content type {int(record.content_type)}",
-                    alert="unexpected_message",
-                )
-        except abort.HOSTILE_INPUT as exc:
-            events.append(abort.fail(self, exc, partial(_send_alert, self._plane)))
-        return events
-
-    def send_application_data(self, data: bytes) -> None:
-        if self.closed:
-            raise ProtocolError("cannot send application data on a closed connection")
-        if not self.established:
-            raise ProtocolError("handshake is not complete")
-        self._plane.queue_application_data(data)
-
-    def _install_states(
-        self, read_state: ConnectionState, write_state: ConnectionState
-    ) -> None:
-        self._plane.replace_states(read_state, write_state)
-
-    def _handle_handshake(self, message: Handshake, events: list) -> None:
-        raise NotImplementedError
-
-
-class MdTLSClientConnection(_MdTLSEndpoint):
-    """Sans-IO mdTLS client endpoint.
-
-    Flight 1: ClientHello carrying the client's warrant batch.  Flight 3
-    (after the server's hello flight): ClientKeyExchange, one
-    HopKeyDelivery per warranted middlebox, and the client Finished.  The
-    session is established once the server Finished *and* every
-    middlebox's server-to-client proxy signature verify.
+    Mixed in ahead of :class:`TLSClientEngine` / :class:`TLSServerEngine`.
+    It checks the peer's warrants on its hello, holds establishment until
+    every warranted middlebox has proxy-signed the transcript through the
+    peer's Finished, and then installs this endpoint's hop keys. Its record
+    rules depart from TLS 1.2 (DESIGN.md §15): only application data is
+    sealed, and a ChangeCipherSpec, an mbTLS record or a handshake record
+    after establishment is ``unexpected_message``.
     """
 
-    origin_label = "mdtls-client"
+    def __init__(self, config: TLSConfig, *, expected, origin_label: str) -> None:
+        super().__init__(config)
+        self.origin_label = origin_label
+        # (middlebox name, warranted public key), client side first.
+        self._expected = list(expected)
+        self._proxy_signatures: list[ProxySignature] = []
+        # The transcript hash through the peer's Finished, once verified.
+        self._signed_hash: bytes | None = None
+
+    @property
+    def established(self) -> bool:
+        return self.handshake_complete
+
+    def _hop_secret(self, hop: int) -> bytes:
+        return derive_hop_secret(
+            self.master_secret, self.client_random, self.server_random, hop
+        )
+
+    # -- record rules --------------------------------------------------------
+
+    def _process_record(self, record: Record, payload: bytes | None = None) -> None:
+        kind = record.content_type
+        if kind == ContentType.APPLICATION_DATA:
+            super()._process_record(record, payload)
+        elif kind == ContentType.ALERT or (
+            kind == ContentType.HANDSHAKE and not self.handshake_complete
+        ):
+            super()._process_record(record, bytes(record.payload))
+        else:
+            raise ProtocolError(
+                f"unexpected content type {int(kind)}", alert="unexpected_message"
+            )
+
+    def _send_record(self, content_type: ContentType, payload: bytes) -> None:
+        self._plane.queue_encoded(Record(content_type=content_type, payload=payload))
+
+    def _install_key_block(self) -> None:
+        """mdTLS seals records under hop keys only (see _maybe_establish)."""
+
+    # -- the seams -------------------------------------------------------------
+
+    def _peer_hello(self, hello: ClientHello | ServerHello) -> None:
+        sender = "server" if self.is_client else "client"
+        warrants = _warrants(hello, sender)
+        if len(warrants) != len(self._expected):
+            raise ProtocolError(
+                f"{sender} warrant count does not match the deployment",
+                alert="handshake_failure",
+            )
+        for (name, public_key), warrant in zip(self._expected, warrants):
+            warrant.verify(
+                self.config.trust_store,
+                now=self.config.now(),
+                middlebox=name,
+                middlebox_key=public_key,
+            )
+
+    def _on_peer_finished(self) -> None:
+        self._signed_hash = self._transcript_hash()
+        self._maybe_establish()
+
+    def _process_handshake(self, message: Handshake) -> None:
+        if self._signed_hash is None:
+            super()._process_handshake(message)
+            return
+        # Past the peer's Finished only the proxy signatures may follow.
+        if (
+            message.msg_type != HandshakeType.MDTLS_PROXY_SIGNATURE
+            or self.handshake_complete
+        ):
+            raise ProtocolError(
+                f"unexpected {message.msg_type.name} after the peer's Finished",
+                alert="unexpected_message",
+            )
+        self._proxy_signatures.append(ProxySignature.decode_body(message.body))
+        self._maybe_establish()
+
+    def _maybe_establish(self) -> None:
+        if len(self._proxy_signatures) < len(self._expected):
+            return
+        _verify_proxy_chain(
+            self._proxy_signatures,
+            self._expected,
+            1 if self.is_client else 0,
+            self._signed_hash,
+        )
+        if not self.is_client:
+            # The server withholds its Finished until the chain verifies.
+            self._send_finished()
+        hop = 0 if self.is_client else len(self._expected)
+        client_write, server_write = hop_states(
+            self._hop_secret(hop), self.suite, self.client_random, self.server_random
+        )
+        if self.is_client:
+            self._plane.replace_states(server_write, client_write)
+        else:
+            self._plane.replace_states(client_write, server_write)
+        self._complete()
+
+
+class MdTLSClientConnection(_MdTLSEndpoint, TLSClientEngine):
+    """Sans-IO mdTLS client endpoint.
+
+    Flight 1: ClientHello carrying the client's warrant batch and no server
+    name.  Flight 3 (after the server's hello flight): ClientKeyExchange,
+    one HopKeyDelivery per warranted middlebox, and the client Finished.
+    The session is established once the server Finished *and* every
+    middlebox's server-to-client proxy signature verify.
+    """
 
     def __init__(
         self,
@@ -358,221 +376,38 @@ class MdTLSClientConnection(_MdTLSEndpoint):
         warrants: tuple[DelegationCertificate, ...] = (),
         now: float = 0.0,
     ) -> None:
-        super().__init__()
-        self._rng = rng
-        self._trust = trust_store
+        warrants = tuple(warrants)
+        super().__init__(
+            TLSConfig(
+                rng=rng,
+                trust_store=trust_store,
+                now=lambda: now,
+                extra_extensions=(
+                    DelegationCertificateExtension(warrants).to_extension(),
+                ),
+            ),
+            expected=[(warrant.middlebox, warrant.middlebox_key) for warrant in warrants],
+            origin_label="mdtls-client",
+        )
         self._server_name = server_name
-        self._warrants = tuple(warrants)
-        self._now = now
-        self._state = "start"
-        self._client_random = b""
-        self._server_random = b""
-        self._suite: CipherSuite | None = None
-        self._kex_private = b""
-        self._master_secret = b""
-        self._server_certificate = None
-        self._c2s_hash = b""
-        self._s2c_hash = b""
-        self._proxy_signatures: list[ProxySignature] = []
-        self.peer_certificate = None
 
-    def _on_start(self) -> None:
-        self._client_random = self._rng.random_bytes(32)
-        hello = ClientHello(
-            random=self._client_random,
-            cipher_suites=DEFAULT_SUITES,
-            extensions=(
-                DelegationCertificateExtension(self._warrants).to_extension(),
-            ),
-        )
-        framed = Handshake(msg_type=hello.msg_type, body=hello.encode_body())
-        self._append_transcript(framed)
-        self._plane.queue_record(ContentType.HANDSHAKE, framed.encode())
-        self._state = "wait_server_hello"
+    def _peer_name(self) -> str:
+        return self._server_name
 
-    def _handle_handshake(self, message: Handshake, events: list) -> None:
-        kind = message.msg_type
-        if kind == HandshakeType.SERVER_HELLO:
-            self._expect_state("wait_server_hello", kind)
-            self._append_transcript(message)
-            self._process_server_hello(ServerHello.decode_body(message.body))
-            self._state = "wait_certificate"
-            return
-        if kind == HandshakeType.CERTIFICATE:
-            self._expect_state("wait_certificate", kind)
-            self._append_transcript(message)
-            self._process_certificate(Certificate.decode_body(message.body))
-            self._state = "wait_server_kex"
-            return
-        if kind == HandshakeType.SERVER_KEY_EXCHANGE:
-            self._expect_state("wait_server_kex", kind)
-            self._append_transcript(message)
-            self._process_server_kex(ServerKeyExchange.decode_body(message.body))
-            self._state = "wait_hello_done"
-            return
-        if kind == HandshakeType.SERVER_HELLO_DONE:
-            self._expect_state("wait_hello_done", kind)
-            self._append_transcript(message)
-            ServerHelloDone.decode_body(message.body)
-            self._send_client_flight()
-            self._state = "wait_finished"
-            return
-        if kind == HandshakeType.FINISHED:
-            self._expect_state("wait_finished", kind)
-            finished = Finished.decode_body(message.body)
-            expected = finished_verify_data(
-                self._master_secret, self._transcript_hash(), is_client=False
-            )
-            if finished.verify_data != expected:
-                raise ProtocolError(
-                    "server Finished verification failed", alert="decrypt_error"
-                )
-            self._append_transcript(message)
-            self._s2c_hash = self._transcript_hash()
-            self._state = "wait_proxy_signatures"
-            self._maybe_complete(events)
-            return
-        if kind == HandshakeType.MDTLS_PROXY_SIGNATURE:
-            self._expect_state("wait_proxy_signatures", kind)
-            self._proxy_signatures.append(ProxySignature.decode_body(message.body))
-            self._maybe_complete(events)
-            return
-        raise ProtocolError(
-            f"unexpected handshake message {kind.name} in state {self._state}",
-            alert="unexpected_message",
-        )
-
-    def _expect_state(self, state: str, kind: HandshakeType) -> None:
-        if self._state != state:
-            raise ProtocolError(
-                f"unexpected {kind.name} in state {self._state}",
-                alert="unexpected_message",
-            )
-
-    def _process_server_hello(self, hello: ServerHello) -> None:
-        if hello.cipher_suite not in DEFAULT_SUITES:
-            raise ProtocolError(
-                "server selected a suite we did not offer",
-                alert="illegal_parameter",
-            )
-        self._server_random = hello.random
-        self._suite = suite_by_code(hello.cipher_suite)
-        extension = hello.find_extension(int(ExtensionType.DELEGATION_CERTIFICATE))
-        if extension is None:
-            # The in-band mdTLS signal was stripped: the server either does
-            # not speak mdTLS or a downgrade box removed the extension.
-            raise ProtocolError(
-                "server hello carries no delegation certificates",
-                alert="handshake_failure",
-            )
-        batch = DelegationCertificateExtension.from_extension(extension)
-        if len(batch.warrants) != len(self._warrants):
-            raise ProtocolError(
-                "server warrant count does not match the client's",
-                alert="handshake_failure",
-            )
-        for ours, theirs in zip(self._warrants, batch.warrants):
-            theirs.verify(
-                self._trust,
-                now=self._now,
-                middlebox=ours.middlebox,
-                middlebox_key=ours.middlebox_key,
-            )
-
-    def _process_certificate(self, certificate: Certificate) -> None:
-        from repro.pki.certificate import Certificate as PkiCertificate
-
-        chain = tuple(PkiCertificate.decode(cert) for cert in certificate.chain)
-        self._server_certificate = self._trust.validate_chain(
-            chain, self._server_name, self._now
-        )
-        self.peer_certificate = self._server_certificate
-
-    def _process_server_kex(self, kex: ServerKeyExchange) -> None:
-        signed = self._client_random + self._server_random + kex.params
-        if not self._server_certificate.public_key.verify(signed, kex.signature):
-            raise ProtocolError(
-                "bad signature on ServerKeyExchange", alert="decrypt_error"
-            )
-        server_public = kex.parse_ecdhe_public()
-        self._kex_private = self._rng.random_bytes(32)
-        shared = x25519(self._kex_private, server_public)
-        self._master_secret = derive_master_secret(
-            shared, self._client_random, self._server_random
-        )
-
-    def _send_client_flight(self) -> None:
-        public = x25519_base(self._kex_private)
-        self._send_handshake(ClientKeyExchange(exchange_data=public))
-        for hop, warrant in enumerate(self._warrants):
-            secrets = derive_hop_secret(
-                self._master_secret, self._client_random, self._server_random, hop
-            ) + derive_hop_secret(
-                self._master_secret,
-                self._client_random,
-                self._server_random,
-                hop + 1,
-            )
-            sealed = warrant.middlebox_key.encrypt(secrets, self._rng)
+    def _send_client_flight(self, exchange_data: bytes) -> None:
+        self._send_handshake(ClientKeyExchange(exchange_data=exchange_data))
+        for hop, (name, public_key) in enumerate(self._expected):
+            secrets = self._hop_secret(hop) + self._hop_secret(hop + 1)
             self._send_handshake(
-                HopKeyDelivery(middlebox=warrant.middlebox, encrypted_secrets=sealed)
-            )
-        verify_data = finished_verify_data(
-            self._master_secret, self._transcript_hash(), is_client=True
-        )
-        self._send_handshake(Finished(verify_data=verify_data))
-        self._c2s_hash = self._transcript_hash()
-
-    def _maybe_complete(self, events: list) -> None:
-        if len(self._proxy_signatures) < len(self._warrants):
-            return
-        if len(self._proxy_signatures) > len(self._warrants):
-            raise ProtocolError(
-                "more proxy signatures than warranted middleboxes",
-                alert="unexpected_message",
-            )
-        seen = {signature.middlebox for signature in self._proxy_signatures}
-        for warrant in self._warrants:
-            if warrant.middlebox not in seen:
-                raise ProtocolError(
-                    f"missing proxy signature from {warrant.middlebox!r}",
-                    alert="handshake_failure",
+                HopKeyDelivery(
+                    middlebox=name,
+                    encrypted_secrets=public_key.encrypt(secrets, self.config.rng),
                 )
-        by_name = {warrant.middlebox: warrant for warrant in self._warrants}
-        payload_hash = self._s2c_hash
-        for signature in self._proxy_signatures:
-            if signature.direction != 1:
-                raise ProtocolError(
-                    "client received a client-to-server proxy signature",
-                    alert="unexpected_message",
-                )
-            warrant = by_name[signature.middlebox]
-            payload = ProxySignature.signed_payload(1, payload_hash)
-            if not warrant.middlebox_key.verify(payload, signature.signature):
-                raise ProtocolError(
-                    f"bad proxy signature from {signature.middlebox!r}",
-                    alert="decrypt_error",
-                )
-        client_write, server_write = hop_states(
-            derive_hop_secret(
-                self._master_secret, self._client_random, self._server_random, 0
-            ),
-            self._suite,
-            self._client_random,
-            self._server_random,
-        )
-        self._install_states(server_write, client_write)
-        self.established = True
-        self._state = "established"
-        events.append(
-            HandshakeComplete(
-                cipher_suite=self._suite.code,
-                peer_certificate=self._server_certificate,
             )
-        )
+        self._send_finished()
 
 
-class MdTLSServerConnection(_MdTLSEndpoint):
+class MdTLSServerConnection(_MdTLSEndpoint, TLSServerEngine):
     """Sans-IO mdTLS server endpoint.
 
     Requires the client's warrant batch in the ClientHello (a stripped
@@ -581,8 +416,6 @@ class MdTLSServerConnection(_MdTLSEndpoint):
     client Finished *and* every middlebox's client-to-server proxy
     signature verify against the warranted keys.
     """
-
-    origin_label = "mdtls-server"
 
     def __init__(
         self,
@@ -594,205 +427,55 @@ class MdTLSServerConnection(_MdTLSEndpoint):
         expected_middleboxes: list[tuple[str, object]] | tuple = (),
         now: float = 0.0,
     ) -> None:
-        super().__init__()
-        self._rng = rng
-        self._credential = credential
-        self._trust = trust_store
-        self._warrants = tuple(warrants)
-        self._expected = list(expected_middleboxes)
-        self._now = now
-        self._state = "wait_client_hello"
-        self._client_random = b""
-        self._server_random = b""
-        self._suite: CipherSuite | None = None
-        self._kex_private = b""
-        self._master_secret = b""
-        self._c2s_hash = b""
-        self._deliveries: list[HopKeyDelivery] = []
-        self._proxy_signatures: list[ProxySignature] = []
-        self._client_warrants: tuple[DelegationCertificate, ...] = ()
-
-    def _handle_handshake(self, message: Handshake, events: list) -> None:
-        kind = message.msg_type
-        if kind == HandshakeType.CLIENT_HELLO:
-            self._expect_state("wait_client_hello", kind)
-            self._append_transcript(message)
-            self._process_client_hello(ClientHello.decode_body(message.body))
-            self._state = "wait_client_kex"
-            return
-        if kind == HandshakeType.CLIENT_KEY_EXCHANGE:
-            self._expect_state("wait_client_kex", kind)
-            self._append_transcript(message)
-            kex = ClientKeyExchange.decode_body(message.body)
-            shared = x25519(self._kex_private, kex.exchange_data)
-            self._master_secret = derive_master_secret(
-                shared, self._client_random, self._server_random
-            )
-            self._state = "wait_key_deliveries"
-            return
-        if kind == HandshakeType.MDTLS_KEY_DELIVERY:
-            self._expect_state("wait_key_deliveries", kind)
-            self._append_transcript(message)
-            delivery = HopKeyDelivery.decode_body(message.body)
-            if len(self._deliveries) >= len(self._expected):
-                raise ProtocolError(
-                    "more hop-key deliveries than warranted middleboxes",
-                    alert="unexpected_message",
-                )
-            expected_name = self._expected[len(self._deliveries)][0]
-            if delivery.middlebox != expected_name:
-                raise ProtocolError(
-                    f"hop-key delivery for {delivery.middlebox!r}, expected "
-                    f"{expected_name!r}",
-                    alert="handshake_failure",
-                )
-            self._deliveries.append(delivery)
-            return
-        if kind == HandshakeType.FINISHED:
-            self._expect_state("wait_key_deliveries", kind)
-            if len(self._deliveries) != len(self._expected):
-                raise ProtocolError(
-                    "client Finished before all hop-key deliveries",
-                    alert="handshake_failure",
-                )
-            finished = Finished.decode_body(message.body)
-            expected = finished_verify_data(
-                self._master_secret, self._transcript_hash(), is_client=True
-            )
-            if finished.verify_data != expected:
-                raise ProtocolError(
-                    "client Finished verification failed", alert="decrypt_error"
-                )
-            self._append_transcript(message)
-            self._c2s_hash = self._transcript_hash()
-            self._state = "wait_proxy_signatures"
-            self._maybe_finish(events)
-            return
-        if kind == HandshakeType.MDTLS_PROXY_SIGNATURE:
-            self._expect_state("wait_proxy_signatures", kind)
-            self._proxy_signatures.append(ProxySignature.decode_body(message.body))
-            self._maybe_finish(events)
-            return
-        raise ProtocolError(
-            f"unexpected handshake message {kind.name} in state {self._state}",
-            alert="unexpected_message",
-        )
-
-    def _expect_state(self, state: str, kind: HandshakeType) -> None:
-        if self._state != state:
-            raise ProtocolError(
-                f"unexpected {kind.name} in state {self._state}",
-                alert="unexpected_message",
-            )
-
-    def _process_client_hello(self, hello: ClientHello) -> None:
-        extension = hello.find_extension(int(ExtensionType.DELEGATION_CERTIFICATE))
-        if extension is None:
-            # mdTLS is delegation-or-abort: losing the extension means a
-            # downgrade box stripped the in-band signal.
-            raise ProtocolError(
-                "client hello carries no delegation certificates",
-                alert="handshake_failure",
-            )
-        batch = DelegationCertificateExtension.from_extension(extension)
-        if len(batch.warrants) != len(self._expected):
-            raise ProtocolError(
-                "client warrant count does not match the deployment",
-                alert="handshake_failure",
-            )
-        for (name, public_key), warrant in zip(self._expected, batch.warrants):
-            warrant.verify(
-                self._trust, now=self._now, middlebox=name, middlebox_key=public_key
-            )
-        self._client_warrants = batch.warrants
-        selected = None
-        for code in DEFAULT_SUITES:
-            if code in hello.cipher_suites:
-                selected = code
-                break
-        if selected is None:
-            raise ProtocolError(
-                "no cipher suite in common", alert="handshake_failure"
-            )
-        self._client_random = hello.random
-        self._suite = suite_by_code(selected)
-        self._server_random = self._rng.random_bytes(32)
-        self._send_handshake(
-            ServerHello(
-                random=self._server_random,
-                cipher_suite=selected,
-                extensions=(
-                    DelegationCertificateExtension(self._warrants).to_extension(),
-                ),
-            )
-        )
-        self._send_handshake(Certificate(chain=self._credential.encoded_chain()))
-        self._kex_private = self._rng.random_bytes(32)
-        params = ServerKeyExchange.encode_ecdhe_params(
-            x25519_base(self._kex_private)
-        )
-        signature = self._credential.private_key.sign(
-            self._client_random + self._server_random + params
-        )
-        self._send_handshake(
-            ServerKeyExchange(
-                algorithm=KexAlgorithm.ECDHE_X25519,
-                params=params,
-                signature=signature,
-            )
-        )
-        self._send_handshake(ServerHelloDone())
-
-    def _maybe_finish(self, events: list) -> None:
-        if len(self._proxy_signatures) < len(self._expected):
-            return
-        if len(self._proxy_signatures) > len(self._expected):
-            raise ProtocolError(
-                "more proxy signatures than warranted middleboxes",
-                alert="unexpected_message",
-            )
-        by_name = dict(self._expected)
-        seen = set()
-        for signature in self._proxy_signatures:
-            if signature.direction != 0:
-                raise ProtocolError(
-                    "server received a server-to-client proxy signature",
-                    alert="unexpected_message",
-                )
-            if signature.middlebox not in by_name:
-                raise ProtocolError(
-                    f"proxy signature from unwarranted {signature.middlebox!r}",
-                    alert="handshake_failure",
-                )
-            payload = ProxySignature.signed_payload(0, self._c2s_hash)
-            if not by_name[signature.middlebox].verify(payload, signature.signature):
-                raise ProtocolError(
-                    f"bad proxy signature from {signature.middlebox!r}",
-                    alert="decrypt_error",
-                )
-            seen.add(signature.middlebox)
-        if len(seen) != len(self._expected):
-            raise ProtocolError(
-                "duplicate proxy signature in the aggregate chain",
-                alert="handshake_failure",
-            )
-        verify_data = finished_verify_data(
-            self._master_secret, self._transcript_hash(), is_client=False
-        )
-        self._send_handshake(Finished(verify_data=verify_data))
-        hop = len(self._expected)
-        client_write, server_write = hop_states(
-            derive_hop_secret(
-                self._master_secret, self._client_random, self._server_random, hop
+        super().__init__(
+            TLSConfig(
+                rng=rng, credential=credential, trust_store=trust_store, now=lambda: now
             ),
-            self._suite,
-            self._client_random,
-            self._server_random,
+            expected=expected_middleboxes,
+            origin_label="mdtls-server",
         )
-        self._install_states(client_write, server_write)
-        self.established = True
-        self._state = "established"
-        events.append(HandshakeComplete(cipher_suite=self._suite.code))
+        self._hello_extensions = (
+            DelegationCertificateExtension(tuple(warrants)).to_extension(),
+        )
+        self._deliveries = 0
+
+    def _new_session_id(self) -> bytes:
+        return b""  # no resumption, and no DRBG draw
+
+    def _server_hello_extensions(self) -> tuple[Extension, ...]:
+        return self._hello_extensions
+
+    def _kex_algorithm(self) -> KexAlgorithm:
+        return KexAlgorithm.ECDHE_X25519
+
+    def _on_client_finished(self, message: Handshake) -> None:
+        if message.msg_type == HandshakeType.MDTLS_KEY_DELIVERY:
+            self._transcript.append(message.encode())
+            self._check_delivery(HopKeyDelivery.decode_body(message.body))
+            return
+        if message.msg_type == HandshakeType.FINISHED and self._deliveries < len(
+            self._expected
+        ):
+            raise ProtocolError(
+                "client Finished before all hop-key deliveries",
+                alert="handshake_failure",
+            )
+        super()._on_client_finished(message)
+
+    def _check_delivery(self, delivery: HopKeyDelivery) -> None:
+        if self._deliveries >= len(self._expected):
+            raise ProtocolError(
+                "more hop-key deliveries than warranted middleboxes",
+                alert="unexpected_message",
+            )
+        expected_name = self._expected[self._deliveries][0]
+        if delivery.middlebox != expected_name:
+            raise ProtocolError(
+                f"hop-key delivery for {delivery.middlebox!r}, expected "
+                f"{expected_name!r}",
+                alert="handshake_failure",
+            )
+        self._deliveries += 1
 
 
 class MdTLSMiddleboxConnection:
@@ -998,14 +681,7 @@ class MdTLSMiddleboxConnection:
         # the middlebox.
 
     def _process_client_hello(self, hello: ClientHello) -> None:
-        extension = hello.find_extension(int(ExtensionType.DELEGATION_CERTIFICATE))
-        if extension is None:
-            raise ProtocolError(
-                "client hello carries no delegation certificates",
-                alert="handshake_failure",
-            )
-        batch = DelegationCertificateExtension.from_extension(extension)
-        self._verify_own_warrant(batch, delegated_by="client")
+        self._verify_own_warrant(hello, delegated_by="client")
         self._client_warrant_seen = True
         self._client_random = hello.random
 
@@ -1014,23 +690,16 @@ class MdTLSMiddleboxConnection:
             raise ProtocolError(
                 "ServerHello before ClientHello", alert="unexpected_message"
             )
-        extension = hello.find_extension(int(ExtensionType.DELEGATION_CERTIFICATE))
-        if extension is None:
-            raise ProtocolError(
-                "server hello carries no delegation certificates",
-                alert="handshake_failure",
-            )
-        batch = DelegationCertificateExtension.from_extension(extension)
-        self._verify_own_warrant(batch, delegated_by="server")
+        self._verify_own_warrant(hello, delegated_by="server")
         self._server_warrant_seen = True
         self._server_random = hello.random
         self._suite = suite_by_code(hello.cipher_suite)
 
     def _verify_own_warrant(
-        self, batch: DelegationCertificateExtension, delegated_by: str
+        self, hello: ClientHello | ServerHello, delegated_by: str
     ) -> None:
         own_key = self._credential.private_key.public_key
-        for warrant in batch.warrants:
+        for warrant in _warrants(hello, delegated_by):
             if warrant.middlebox == self.name:
                 warrant.verify(
                     self._trust,

@@ -68,10 +68,6 @@ class SyntheticServer:
         )
 
     @property
-    def cert_expired(self) -> bool:
-        return self.defect == ServerDefect.EXPIRED_CERT
-
-    @property
     def supports_https(self) -> bool:
         return self.defect != ServerDefect.NO_HTTPS
 

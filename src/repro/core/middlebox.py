@@ -149,23 +149,11 @@ class MbTLSMiddlebox:
         fullest = max(plane.pending_outbound_bytes for plane in self._planes)
         return fullest / MAX_BUFFERED_BYTES
 
-    # Hop-state views (the planes own them; see the crossing note above).
-
-    @property
-    def _c2s_read(self):
-        return self._planes[_DOWN].read_state
-
-    @property
-    def _c2s_write(self):
-        return self._planes[_UP].write_state
+    # Hop-state view (the planes own the states; see the crossing note above).
 
     @property
     def _s2c_read(self):
         return self._planes[_UP].read_state
-
-    @property
-    def _s2c_write(self):
-        return self._planes[_DOWN].write_state
 
     def peer_closed_down(self) -> list[Event]:
         """The client-facing segment closed; tear down toward the server."""

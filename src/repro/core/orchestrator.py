@@ -465,10 +465,6 @@ class SessionOrchestrator:
     def live_sessions(self) -> int:
         return sum(shard.live for shard in self.shards)
 
-    @property
-    def peak_live_sessions(self) -> int:
-        return sum(shard.peak_live for shard in self.shards)
-
     def annotate(self, supervisor: SessionSupervisor, **fields) -> None:
         """Attach extra fields to a still-open ledger entry.
 

@@ -413,12 +413,6 @@ def poly1305_mac(key: bytes, message) -> bytes:
     return ((accumulator + s) & ((1 << 128) - 1)).to_bytes(16, "little")
 
 
-def _pad16(data: bytes) -> bytes:
-    if len(data) % 16 == 0:
-        return data
-    return data + b"\x00" * (16 - len(data) % 16)
-
-
 def _poly_tag(otk: bytes, aad, ciphertext) -> bytes:
     """The AEAD tag: Poly1305 over padded AAD, padded ciphertext, lengths.
 

@@ -219,10 +219,6 @@ class RecordPlane:
         self.pending_read = None
 
     @property
-    def pending_inbound_bytes(self) -> int:
-        return self._inbound.pending_bytes
-
-    @property
     def pending_outbound_bytes(self) -> int:
         """Sealed plus queued-for-sealing bytes awaiting a drain.
 

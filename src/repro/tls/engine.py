@@ -8,7 +8,9 @@ simulated TCP stream, an in-memory pipe, or an mbTLS subchannel.
 Supported: full ECDHE/DHE-RSA handshakes, AEAD record protection, session-ID
 and ticket resumption, alerts, and the mbTLS hooks (SGX attestation messages,
 preset ClientHellos for secondary sessions, tolerant handling of mbTLS
-record types for legacy endpoints).
+record types for legacy endpoints). The mdTLS endpoints
+(:mod:`repro.baselines.mdtls`) subclass both engines through protected
+method seams (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ class TLSEngine:
         except IntegrityError:
             # The AEAD's own reason stays private to the engine.
             self._fatal(IntegrityError("record authentication failed"))
-        except ProtocolError as exc:
+        except abort.HOSTILE_INPUT as exc:
             self._fatal(exc)
         events = self._events
         self._events = []
@@ -246,18 +248,6 @@ class TLSEngine:
         if self.suite is None or self.key_block is None:
             raise ProtocolError("key block not yet derived")
         return self.suite, self.key_block
-
-    def record_sequences(self) -> tuple[int, int]:
-        """(write_seq, read_seq) of the protected record states."""
-        return self._plane.sequences()
-
-    def replace_data_states(
-        self,
-        read_state: ConnectionState | None,
-        write_state: ConnectionState | None,
-    ) -> None:
-        """Swap record-protection states (mbTLS per-hop key installation)."""
-        self._plane.replace_states(read_state, write_state)
 
     def peer_closed(self) -> list[Event]:
         """The transport died under us; returns the resulting events."""
@@ -376,6 +366,13 @@ class TLSEngine:
         raise HandshakeError("unexpected mbTLS record", alert="unexpected_message")
 
     def _process_handshake(self, message: Handshake) -> None:
+        raise NotImplementedError
+
+    def _peer_hello(self, hello: ClientHello | ServerHello) -> None:
+        """Check the peer's hello before the engine acts on its offer."""
+
+    def _on_peer_finished(self) -> None:
+        """The peer's Finished verified: finish this side's handshake."""
         raise NotImplementedError
 
     # ------------------------------------------------- shared crypto helpers
@@ -542,6 +539,7 @@ class TLSClientEngine(TLSEngine):
             raise HandshakeError(
                 "server selected a suite we did not offer", alert="illegal_parameter"
             )
+        self._peer_hello(hello)
         self._server_session_id = hello.session_id
 
         offered_id = None
@@ -602,11 +600,15 @@ class TLSClientEngine(TLSEngine):
             raise CertificateError("server sent an empty certificate chain")
         if self.config.trust_store is not None:
             leaf = self.config.trust_store.validate_chain(
-                chain, self.config.server_name, self.config.now()
+                chain, self._peer_name(), self.config.now()
             )
         else:
             leaf = chain[0]
         self.peer_certificate = leaf
+
+    def _peer_name(self) -> str | None:
+        """The name the server's chain must carry: the SNI by default."""
+        return self.config.server_name
 
     def _handle_attestation(self, message: Handshake) -> None:
         attestation = SGXAttestation.decode_body(message.body)
@@ -650,11 +652,15 @@ class TLSClientEngine(TLSEngine):
         self.master_secret = derive_master_secret(
             pre_master, self.client_random, self.server_random
         )
+        self._send_client_flight(exchange_data)
+        self._state = _State.WAIT_SERVER_CCS
+
+    def _send_client_flight(self, exchange_data: bytes) -> None:
+        """The flight after ServerHelloDone, the master secret known."""
         self._send_handshake(ClientKeyExchange(exchange_data=exchange_data))
         self._install_key_block()
         self._send_ccs()
         self._send_finished()
-        self._state = _State.WAIT_SERVER_CCS
 
     def _on_wait_server_finished(self, message: Handshake) -> None:
         if message.msg_type == HandshakeType.NEW_SESSION_TICKET:
@@ -674,6 +680,9 @@ class TLSClientEngine(TLSEngine):
                 alert="unexpected_message",
             )
         self._verify_finished(message, from_client=False)
+        self._on_peer_finished()
+
+    def _on_peer_finished(self) -> None:
         if self.resumed:
             # Abbreviated: now send our CCS + Finished.
             self._send_ccs()
@@ -749,6 +758,7 @@ class TLSServerEngine(TLSEngine):
         self.client_random = hello.random
         self.server_random = self.config.rng.random_bytes(_RANDOM_LEN)
 
+        self._peer_hello(hello)
         suite_code = self._negotiate_suite(hello)
         self.suite = suite_by_code(suite_code)
 
@@ -800,41 +810,45 @@ class TLSServerEngine(TLSEngine):
         self._send_finished()
         self._state = _State.WAIT_CLIENT_CCS
 
+    def _new_session_id(self) -> bytes:
+        return self.config.rng.random_bytes(_SESSION_ID_LEN)
+
+    def _server_hello_extensions(self) -> tuple[Extension, ...]:
+        return ()
+
+    def _kex_algorithm(self) -> KexAlgorithm:
+        if self.suite.key_exchange == KeyExchange.ECDHE_RSA:
+            return KexAlgorithm.ECDHE_X25519
+        return KexAlgorithm.DHE
+
     def _do_full_flight(self, hello: ClientHello, suite_code: int) -> None:
-        self._session_id = self.config.rng.random_bytes(_SESSION_ID_LEN)
+        self._session_id = self._new_session_id()
         server_hello = ServerHello(
             random=self.server_random,
             cipher_suite=suite_code,
             session_id=self._session_id,
+            extensions=self._server_hello_extensions(),
         )
         self._send_handshake(server_hello)
         self._send_handshake(
             Certificate(chain=self.config.credential.encoded_chain())
         )
 
-        if self.suite.key_exchange == KeyExchange.ECDHE_RSA:
+        algorithm = self._kex_algorithm()
+        if algorithm == KexAlgorithm.ECDHE_X25519:
             private = X25519PrivateKey(self.config.rng.random_bytes(32))
             params = ServerKeyExchange.encode_ecdhe_params(private.public_bytes)
-            self._kex_private = private
         else:
             group = modp_group(self.config.dhe_group_bits)
             private = DHPrivateKey(group, self.config.rng)
             params = ServerKeyExchange.encode_dhe_params(
                 group.p, group.g, private.public_value
             )
-            self._kex_private = private
+        self._kex_private = private
         signed = self.client_random + self.server_random + params
         signature = self.config.credential.private_key.sign(signed)
         self._send_handshake(
-            ServerKeyExchange(
-                algorithm=(
-                    KexAlgorithm.ECDHE_X25519
-                    if self.suite.key_exchange == KeyExchange.ECDHE_RSA
-                    else KexAlgorithm.DHE
-                ),
-                params=params,
-                signature=signature,
-            )
+            ServerKeyExchange(algorithm=algorithm, params=params, signature=signature)
         )
         if self._client_requested_attestation and self.config.enclave is not None:
             quote = self.config.enclave.quote(self._transcript_hash())
@@ -850,7 +864,7 @@ class TLSServerEngine(TLSEngine):
             )
         kex = ClientKeyExchange.decode_body(message.body)
         self._transcript.append(message.encode())
-        if self.suite.key_exchange == KeyExchange.ECDHE_RSA:
+        if isinstance(self._kex_private, X25519PrivateKey):
             pre_master = self._kex_private.exchange(kex.exchange_data)
         else:
             peer_public = int.from_bytes(kex.exchange_data, "big")
@@ -869,13 +883,14 @@ class TLSServerEngine(TLSEngine):
                 alert="unexpected_message",
             )
         self._verify_finished(message, from_client=True)
-        if self.resumed:
-            self._finish_server()
-            return
-        if self._client_requested_ticket and self.config.ticket_keeper is not None:
-            self._issue_ticket()
-        self._send_ccs()
-        self._send_finished()
+        self._on_peer_finished()
+
+    def _on_peer_finished(self) -> None:
+        if not self.resumed:
+            if self._client_requested_ticket and self.config.ticket_keeper is not None:
+                self._issue_ticket()
+            self._send_ccs()
+            self._send_finished()
         self._finish_server()
 
     def _issue_ticket(self) -> None:

@@ -40,14 +40,16 @@ def derive_key_block(
     client_random: bytes,
     server_random: bytes,
     suite: CipherSuite,
+    label: bytes = b"key expansion",
 ) -> KeyBlock:
-    """key_block = PRF(master, "key expansion", server_random + client_random).
+    """key_block = PRF(master, label, server_random + client_random).
 
     For AEAD suites the block is two write keys followed by two fixed IVs
-    (the 4-byte implicit nonce salts).
+    (the 4-byte implicit nonce salts). ``label`` is RFC 5246's "key
+    expansion" unless a protocol expands its own secrets (mdTLS hop keys).
     """
     total = 2 * suite.key_length + 2 * suite.fixed_iv_length
-    block = prf(master_secret, b"key expansion", server_random + client_random, total)
+    block = prf(master_secret, label, server_random + client_random, total)
     offset = 0
     client_write_key = block[offset : offset + suite.key_length]
     offset += suite.key_length

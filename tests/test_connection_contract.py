@@ -18,11 +18,14 @@ in ``repro/io/connection.py``:
   it arrives in one call, one record per call or one byte per call, and
   a forged record still lets the records before it through;
 * the same DRBG seed yields byte-identical wire transcripts (golden hashes
-  captured before the record-plane refactor).
+  captured before the record-plane refactor);
+* mdTLS's eight departures from TLS 1.2 hold on the wire, and a key share
+  that yields no secret aborts a server like any other hostile input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from functools import partial
 
@@ -55,11 +58,26 @@ from repro.crypto.drbg import HmacDrbg
 from repro.errors import ProtocolError, SessionAborted
 from repro.io import Connection, DuplexConnection, pump, pump_chain
 from repro.io.framing import FRAME_ALERT, FramedConnection, FramedDuplex, pop_frames
+from repro.tls.ciphersuites import (
+    TLS_DHE_RSA_WITH_AES_256_GCM_SHA384,
+    TLS_ECDHE_RSA_WITH_AES_256_GCM_SHA384,
+)
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
 from repro.tls.events import AlertReceived, ApplicationData, ConnectionClosed
 from repro.wire.alerts import Alert
-from repro.wire.handshake import HandshakeType
+from repro.wire.extensions import ExtensionType
+from repro.wire.handshake import (
+    ClientHello,
+    ClientKeyExchange,
+    Handshake,
+    HandshakeBuffer,
+    HandshakeType,
+    KexAlgorithm,
+    ServerHello,
+    ServerKeyExchange,
+)
+from repro.wire.mdtls import DelegationCertificateExtension
 from repro.wire.records import ContentType, Record, RecordBuffer
 
 # ---------------------------------------------------------------------------
@@ -636,7 +654,7 @@ def test_mdtls_transcript_golden():
     assert received[0].data == b"GOLDEN-MDTLS"
 
     assert (
-        hashlib.sha256(bytes(client._transcript)).hexdigest()
+        hashlib.sha256(b"".join(client._transcript)).hexdigest()
         == "2f4692cb2a98ca7a53d89b6702364251b4eb17b48223733786a0597c67261603"
     )
     assert (
@@ -928,3 +946,274 @@ def test_a_close_inside_a_flight_ends_the_walk(pki, case, direction):
         ApplicationData, AlertReceived, ConnectionClosed,
     ]
     assert events[0].data == b"before"
+
+
+# ---------------------------------------------------------------------------
+# mdTLS departures from TLS 1.2 (DESIGN.md §15), pinned on the wire
+# ---------------------------------------------------------------------------
+
+
+def _handshake_messages(wire: bytes) -> list:
+    """Every handshake message in ``wire``, which holds nothing else."""
+    buffer, messages = RecordBuffer(), HandshakeBuffer()
+    buffer.feed(wire)
+    out = []
+    for record in buffer.pop_records():
+        assert record.content_type == ContentType.HANDSHAKE
+        messages.feed(bytes(record.payload))
+        out += messages.pop_messages()
+    return out
+
+
+def _handshake_record(message) -> bytes:
+    framed = Handshake(msg_type=message.msg_type, body=message.encode_body())
+    return Record(content_type=ContentType.HANDSHAKE, payload=framed.encode()).encode()
+
+
+def _mdtls_server_flight(client, server, **hello_changes) -> bytes:
+    """The server's answer to the client's ClientHello, edited."""
+    client.start()
+    server.start()
+    (message,) = _handshake_messages(client.data_to_send())
+    hello = dataclasses.replace(
+        ClientHello.decode_body(message.body), **hello_changes
+    )
+    server.receive_bytes(_handshake_record(hello))
+    return server.data_to_send()
+
+
+def test_mdtls_server_hello_has_no_session_id_and_carries_warrants(pki, rng):
+    """(a) No session ID is drawn: every later DRBG draw stays in place."""
+    flight = _handshake_messages(_mdtls_server_flight(*_mdtls_pair(pki, rng)))
+    assert [m.msg_type for m in flight] == [
+        HandshakeType.SERVER_HELLO,
+        HandshakeType.CERTIFICATE,
+        HandshakeType.SERVER_KEY_EXCHANGE,
+        HandshakeType.SERVER_HELLO_DONE,
+    ]
+    hello = ServerHello.decode_body(flight[0].body)
+    assert hello.session_id == b""
+    assert hello.find_extension(ExtensionType.DELEGATION_CERTIFICATE) is not None
+
+
+def test_mdtls_server_keys_x25519_under_a_dhe_suite(pki, rng):
+    """(b) The key exchange is X25519 whichever suite is negotiated."""
+    dhe = TLS_DHE_RSA_WITH_AES_256_GCM_SHA384.code
+    flight = _handshake_messages(
+        _mdtls_server_flight(*_mdtls_pair(pki, rng), cipher_suites=(dhe,))
+    )
+    assert ServerHello.decode_body(flight[0].body).cipher_suite == dhe
+    kex = ServerKeyExchange.decode_body(flight[2].body)
+    assert kex.algorithm == KexAlgorithm.ECDHE_X25519
+
+
+def test_mdtls_server_checks_warrants_before_suites(pki, rng):
+    """(g) A hello with a forged warrant and no shared suite fails on the
+    warrant, not on the suite."""
+    deployment = _mdtls_deployment(pki, rng, middleboxes=("mbox",))
+    client, server = deployment.build_client(), deployment.build_server()
+    (warrant,) = deployment.client_warrants
+    forged = dataclasses.replace(
+        warrant, signature=bytes([warrant.signature[0] ^ 1]) + warrant.signature[1:]
+    )
+    extension = DelegationCertificateExtension((forged,)).to_extension()
+    _mdtls_server_flight(client, server, cipher_suites=(0x0001,), extensions=(extension,))
+    assert server.closed and server.abort.alert == "bad_certificate"
+
+    # The same hello with honest warrants fails on the suite.
+    client, server = deployment.build_client(), deployment.build_server()
+    _mdtls_server_flight(client, server, cipher_suites=(0x0001,))
+    assert server.closed and server.abort.alert == "handshake_failure"
+
+
+def test_mdtls_client_sends_no_sni_but_checks_the_server_name(pki, rng):
+    """(h) The ClientHello names no server, yet the client validates the
+    server chain against the deployment's server name."""
+    deployment = MdTLSDeployment(
+        rng=rng.fork(b"mdtls"),
+        trust_store=pki.trust,
+        client_credential=pki.credential("client"),
+        server_credential=pki.credential("server"),
+        server_name="elsewhere",
+    )
+    client, server = deployment.build_client(), deployment.build_server()
+    client.start()
+    server.start()
+    wire = client.data_to_send()
+    (message,) = _handshake_messages(wire)
+    hello = ClientHello.decode_body(message.body)
+    assert [e.extension_type for e in hello.extensions] == [
+        ExtensionType.DELEGATION_CERTIFICATE
+    ]
+    server.receive_bytes(wire)
+    client.receive_bytes(server.data_to_send())
+    assert client.closed and client.abort.alert == "bad_certificate"
+
+
+def _mdtls_at(phase: str, pki, rng):
+    """An mdTLS pair, started, at ``phase``: ``"start"``; ``"after_kex"``
+    (the server has the client's key exchange, not its Finished); or
+    ``"established"``."""
+    client, server = _mdtls_pair(pki, rng)
+    client.start()
+    server.start()
+    if phase == "established":
+        pump(client, server)
+        assert client.established and server.established
+    elif phase == "after_kex":
+        server.receive_bytes(client.data_to_send())
+        client.receive_bytes(server.data_to_send())
+        buffer = RecordBuffer()
+        buffer.feed(client.data_to_send())
+        key_exchange = buffer.pop_records()[0]
+        assert key_exchange.payload[0] == HandshakeType.CLIENT_KEY_EXCHANGE
+        server.receive_bytes(key_exchange.encode())
+    return client, server
+
+
+def test_mdtls_handshake_is_plaintext_and_has_no_ccs(pki, rng):
+    """(c, d) No ChangeCipherSpec is sent, every handshake record travels
+    in the clear, and only application data is sealed."""
+    client, server = _mdtls_pair(pki, rng)
+    client.start()
+    server.start()
+    wire = b""
+    for _ in range(6):
+        for sender, receiver in ((client, server), (server, client)):
+            data = sender.data_to_send()
+            wire += data
+            receiver.receive_bytes(data)
+    assert client.established and server.established
+    assert {m.msg_type for m in _handshake_messages(wire)} >= {
+        HandshakeType.CLIENT_HELLO, HandshakeType.FINISHED,
+    }
+    client.send_application_data(b"sealed payload")
+    buffer = RecordBuffer()
+    buffer.feed(client.data_to_send())
+    (record,) = buffer.pop_records()
+    assert record.content_type == ContentType.APPLICATION_DATA
+    assert b"sealed payload" not in bytes(record.payload)
+
+
+@pytest.mark.parametrize("phase", ("start", "established"))
+def test_mdtls_alerts_travel_unprotected(pki, rng, phase):
+    """(d) close_notify goes out and is read in the clear, keys or not."""
+    client, server = _mdtls_at(phase, pki, rng)
+    client.data_to_send()
+    client.close()
+    buffer = RecordBuffer()
+    buffer.feed(client.data_to_send())
+    (record,) = buffer.pop_records()
+    assert record.content_type == ContentType.ALERT
+    assert Alert.decode(bytes(record.payload)).is_close
+    events = server.receive_bytes(record.encode())
+    assert [type(e) for e in events] == [AlertReceived, ConnectionClosed]
+    assert server.closed and server.abort is None
+
+
+_CCS = Record(content_type=ContentType.CHANGE_CIPHER_SPEC, payload=b"\x01")
+
+# mdTLS records a TLS 1.2 engine would accept, skip or answer otherwise:
+# (receiving party, phase, record). Each one gets ``unexpected_message``.
+MDTLS_UNEXPECTED_RECORDS = {
+    # (c) no ChangeCipherSpec in any phase, well-formed or not.
+    "ccs_at_start": ("server", "start", _CCS),
+    "ccs_after_kex": ("server", "after_kex", _CCS),
+    "malformed_ccs": ("server", "start", Record(ContentType.CHANGE_CIPHER_SPEC, b"\x02")),
+    "ccs_established": ("client", "established", _CCS),
+    # (e) a handshake record once established, rejected at record level:
+    # a renegotiating hello and a bare header fragment alike.
+    "hello_established": (
+        "server",
+        "established",
+        Record(
+            ContentType.HANDSHAKE,
+            Handshake(HandshakeType.CLIENT_HELLO, b"\x03\x03").encode(),
+        ),
+    ),
+    "fragment_established": ("client", "established", Record(ContentType.HANDSHAKE, b"\x14")),
+    # (f) mbTLS content types are never skipped.
+    "announcement": (
+        "server", "start", Record(ContentType.MBTLS_MIDDLEBOX_ANNOUNCEMENT, b"\x00"),
+    ),
+    "encapsulated": ("client", "established", Record(ContentType.MBTLS_ENCAPSULATED, b"\x00")),
+    "key_material": ("client", "established", Record(ContentType.MBTLS_KEY_MATERIAL, b"\x00")),
+}
+
+
+@pytest.mark.parametrize("case", MDTLS_UNEXPECTED_RECORDS)
+def test_mdtls_answers_unexpected_records(pki, rng, case):
+    who, phase, record = MDTLS_UNEXPECTED_RECORDS[case]
+    client, server = _mdtls_at(phase, pki, rng)
+    party = client if who == "client" else server
+    party.data_to_send()
+    events = party.receive_bytes(record.encode())
+    assert [e.alert for e in events if isinstance(e, ConnectionClosed)] == [
+        "unexpected_message"
+    ]
+    assert party.closed and party.abort.alert == "unexpected_message"
+    # (d) the fatal alert goes out in the clear even under hop keys.
+    alerts = _alerts_on_wire(party, party.data_to_send())
+    assert [a.description.name.lower() for a in alerts] == ["unexpected_message"]
+
+
+# ---------------------------------------------------------------------------
+# A key share that yields no secret is hostile input like any other
+# ---------------------------------------------------------------------------
+
+_ZERO_SHARE = bytes(32)
+_LOW_ORDER_SHARE = (1).to_bytes(32, "little")  # u = 1 has order 4
+
+
+def _tls_server_after_hello(pki, rng, suites):
+    client = TLSClientEngine(
+        TLSConfig(
+            rng=rng.fork(b"cli"), trust_store=pki.trust, server_name="server",
+            cipher_suites=suites,
+        )
+    )
+    server = TLSServerEngine(
+        TLSConfig(rng=rng.fork(b"srv"), credential=pki.credential("server"))
+    )
+    client.start()
+    server.start()
+    server.receive_bytes(client.data_to_send())
+    server.data_to_send()
+    return server
+
+
+def _mdtls_server_after_hello(pki, rng, suites):
+    client, server = _mdtls_pair(pki, rng)
+    _mdtls_server_flight(client, server, cipher_suites=suites)
+    return server
+
+
+_ECDHE = (TLS_ECDHE_RSA_WITH_AES_256_GCM_SHA384.code,)
+_DHE = (TLS_DHE_RSA_WITH_AES_256_GCM_SHA384.code,)
+
+# (server after the ClientHello, suites offered, ClientKeyExchange share).
+BAD_SHARE_CASES = {
+    "tls_x25519_zero": (_tls_server_after_hello, _ECDHE, _ZERO_SHARE),
+    "tls_dhe_one": (_tls_server_after_hello, _DHE, (1).to_bytes(128, "big")),
+    "mdtls_x25519_zero": (_mdtls_server_after_hello, _ECDHE, _ZERO_SHARE),
+    "mdtls_x25519_low_order": (_mdtls_server_after_hello, _DHE, _LOW_ORDER_SHARE),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SHARE_CASES)
+def test_a_key_share_without_a_secret_aborts_the_server(pki, rng, case):
+    """The premaster computation's refusal becomes one fatal alert and an
+    abort, not an exception out of ``receive_bytes`` or a silent accept."""
+    build, suites, share = BAD_SHARE_CASES[case]
+    server = build(pki, rng, suites)
+    events = server.receive_bytes(
+        _handshake_record(ClientKeyExchange(exchange_data=share))
+    )
+    closes = [e for e in events if isinstance(e, ConnectionClosed)]
+    assert len(closes) == 1 and closes[0].alert
+    assert server.closed
+    assert isinstance(server.abort, SessionAborted)
+    alerts = _alerts_on_wire(server, server.data_to_send())
+    assert [(a.is_fatal, a.description.name.lower()) for a in alerts] == [
+        (True, server.abort.alert)
+    ]
